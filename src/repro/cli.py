@@ -12,9 +12,9 @@ Everything the demo's web UI drives is reachable from a terminal:
 * ``serve``     — start the Figure-2 API server (the versioned ``/api/v1``
   resource API plus the deprecated unversioned shims); with ``--store``
   the job registry is durable: jobs survive restarts and several server
-  processes sharing the snapshot claim work through leases;
+  processes sharing the store claim work through leases;
 * ``jobs``      — inspect (``list``) or recover (``recover``) the durable
-  job registry of a store snapshot without starting a server;
+  job registry of a store without starting a server;
 * ``trace``     — reconstruct one job's timeline (an ASCII waterfall of its
   persisted spans — for a distributed mine: planner, every shard attempt,
   merge) straight from a store, no server needed;
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8000,
                        help="TCP port (0 = pick a free one; the chosen port "
                             "is announced on the MISCELA_READY line)")
-    p_srv.add_argument("--store", help="JSON snapshot path for persistence; "
+    p_srv.add_argument("--store", help="store path for persistence; "
                        "also enables the durable job registry (jobs survive "
                        "restarts, several processes may share one store)")
     p_srv.add_argument("--preload", action="store_true",
@@ -256,18 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
         "recover",
         help="requeue interrupted jobs and republish finished ones",
     )
-    p_jrec.add_argument("--store", required=True, help="JSON snapshot path")
+    p_jrec.add_argument("--store", required=True, help="store path")
     p_jrec.add_argument("--lease-seconds", dest="lease_seconds", type=float,
                         default=30.0)
     p_jlist = jobs_sub.add_parser("list", help="print the registry's jobs")
-    p_jlist.add_argument("--store", required=True, help="JSON snapshot path")
+    p_jlist.add_argument("--store", required=True, help="store path")
     p_jlist.add_argument("--status", help="filter by job state")
     p_jredrive = jobs_sub.add_parser(
         "redrive",
         help="replay quarantined dead-letter jobs as fresh queued jobs "
              "(attempt counters reset; any worker may claim them)",
     )
-    p_jredrive.add_argument("--store", required=True, help="JSON snapshot path")
+    p_jredrive.add_argument("--store", required=True, help="store path")
     p_jredrive.add_argument(
         "--job-id", dest="job_ids", action="append", metavar="JOB_ID",
         help="redrive only this dead-lettered job (repeatable; "
@@ -567,14 +567,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         server.serve_forever()
     except KeyboardInterrupt:
-        # Wait for the workers: running jobs cancel at their next checkpoint,
-        # and the snapshot below must not race a result write.
+        # Wait for the workers: running jobs cancel at their next checkpoint
+        # (every acknowledged write is already fsync'd to the store).
         app.close(wait=True)
-        if args.store and app.state.database.engine != "wal":
-            # WAL: every acknowledged write is already fsync'd — there is
-            # no exit snapshot to take.
-            app.state.database.save()
-            print(f"saved store to {args.store}")
     return 0
 
 

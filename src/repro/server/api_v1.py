@@ -1089,7 +1089,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
             raise HTTPError(
                 409,
                 "tracing requires the durable job registry "
-                "(start the server on a snapshot path)",
+                "(start the server on a store path)",
                 code="not_durable",
             )
         try:

@@ -99,7 +99,7 @@ def create_app(
     Parameters
     ----------
     database:
-        Backing store; pass a :class:`Database` opened on a snapshot path
+        Backing store; pass a :class:`Database` opened on a store path
         for persistence across restarts.  Defaults to in-memory.
     body_limit:
         Maximum request body size (enforces the chunked-upload protocol).
@@ -114,7 +114,7 @@ def create_app(
         ``True`` persists the job registry in the database's ``jobs``
         collection with lease-based multi-process claiming; ``None``
         (default) enables it exactly when the database is bound to a
-        snapshot path.  Startup recovery runs here: interrupted jobs are
+        store path.  Startup recovery runs here: interrupted jobs are
         requeued and rescheduled before the first request is served.
     worker_id, lease_seconds:
         Durable-registry identity and claim lifetime (see
@@ -127,10 +127,10 @@ def create_app(
     auto_compact_seconds:
         Interval of the background compaction sweep (see
         :class:`repro.store.compaction.CompactionThread`).  ``None``
-        (default) disables it.  On the WAL engine the sweep folds log
-        segments; on every engine it additionally runs the stream
-        retention pass (:func:`repro.stream.sweep_retention`) for
-        datasets with retention configured.
+        (default) disables it.  With a store path the sweep folds log
+        segments; in both modes it runs the stream retention pass
+        (:func:`repro.stream.sweep_retention`) for datasets with
+        retention configured.
     stream_retention:
         Server-wide default stream retention config (e.g.
         ``{"retention_seqs": 500}``), overridable per dataset through
@@ -162,9 +162,9 @@ def create_app(
     app = App(state, handler, router)
     if auto_compact_seconds is not None:
         # The sweep thread carries two folds: WAL segment compaction
-        # (engine-gated inside sweep()) and the stream retention pass,
-        # which applies on any engine — the feed horizon is a document
-        # model property, not a storage-engine one.
+        # (nothing to fold in memory) and the stream retention pass, which
+        # applies in both modes — the feed horizon is a document model
+        # property, not a storage one.
         app.compactor = CompactionThread(
             state.database,
             interval_seconds=auto_compact_seconds,

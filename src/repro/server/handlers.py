@@ -102,10 +102,10 @@ class ServerState:
     Mining itself never holds the lock — only the bookkeeping around it
     does.
 
-    When the backing database is bound to a snapshot path, the job
+    When the backing database is bound to a store path, the job
     registry is the **durable** one by default: jobs live in the ``jobs``
     collection, every transition persists, and any number of server
-    processes sharing the snapshot claim work through leases (pass
+    processes sharing the store claim work through leases (pass
     ``durable_jobs=False`` to opt out).  ``recover_jobs`` (called by
     :func:`repro.server.app.create_app`) requeues interrupted work on
     startup, and :meth:`start_job_worker` turns this process into a
@@ -125,8 +125,8 @@ class ServerState:
         self.database = database if database is not None else Database()
         self.cache = ResultCache(self.database)
         self.database.collection(_DATASETS).create_index("name", "hash")
-        # Dataset generations live in the store (on the WAL engine each
-        # bump is a log record), so a re-upload on one server process
+        # Dataset generations live in the store (each bump is a log
+        # record), so a re-upload on one server process
         # withdraws results mid-mine on every process sharing the store.
         self.database.collection(_GENERATIONS).create_index("name", "hash")
         # Stream subsystem lookups (batch replay, event dedup, feed reads).
@@ -284,7 +284,7 @@ class ServerState:
         return dataset
 
     def _refresh_shared(self) -> bool:
-        """Merge changes other processes persisted; False when not durable."""
+        """Adopt changes other processes persisted; False when not durable."""
         if not self.durable_jobs:
             return False
         self.jobs.store.refresh()
@@ -304,8 +304,8 @@ class ServerState:
         self._cancel_dataset_jobs(dataset.name)
         self._purge_stream(dataset.name)
         if self.durable_jobs:
-            # Purge the superseded results from the shared snapshot too (the
-            # replaced dataset document itself wins the merge by name).
+            # Re-sweep after the generation bump: a result published since
+            # the drop above passed its currency check on the old data.
             self.jobs.store.persist_removal(_RESULTS, {"payload.dataset": dataset.name})
 
     def delete_dataset(self, name: str) -> bool:
@@ -326,8 +326,8 @@ class ServerState:
         self._cancel_dataset_jobs(name)
         self._purge_stream(name)
         if self.durable_jobs:
-            # Without this the union-merge refresh would resurrect the
-            # dataset (and its results) from the shared snapshot.
+            # Re-sweep after the generation bump: a result published since
+            # the delete above passed its currency check on the old data.
             self.jobs.store.persist_removal(_DATASETS, {"name": name})
             self.jobs.store.persist_removal(_RESULTS, {"payload.dataset": name})
         return True
@@ -366,8 +366,8 @@ class ServerState:
         for collection, query in queries.items():
             self.database.collection(collection).delete_many(query)
             if self.durable_jobs:
-                # Tombstone the shared snapshot too, or the union-merge
-                # refresh would resurrect the purged stream.
+                # Sweep again under the job registry's lock: a stream job
+                # cancelled above may have committed an epoch since.
                 self.jobs.store.persist_removal(collection, query)
 
     def _bump_generation(self, name: str) -> None:
@@ -375,8 +375,8 @@ class ServerState:
 
         Runs inside the store's exclusive section so concurrent bumps from
         several processes serialize: each one replays peers' records first,
-        then appends its own increment.  (On non-WAL engines ``exclusive``
-        degrades to the process-local lock, preserving the old semantics.)
+        then appends its own increment.  (In memory, ``exclusive`` is just
+        the process-local lock.)
         """
         collection = self.database.collection(_GENERATIONS)
         with self.database.exclusive():
@@ -440,8 +440,8 @@ class ServerState:
         with self.lock:
             self._results.pop(key, None)
         if self.durable_jobs:
-            # Make the deletion the shared snapshot's truth, or the next
-            # refresh would re-adopt the result from disk.
+            # Sweep again under the job registry's lock: a peer may have
+            # republished the key since the delete above.
             self.jobs.store.persist_removal(_RESULTS, {"key": key})
 
     # -- async mining jobs ------------------------------------------------------

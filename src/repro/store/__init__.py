@@ -1,6 +1,6 @@
 """Embedded document store — the MongoDB substitute (see DESIGN.md).
 
-Bound to a path it runs the crash-safe WAL engine by default: every
+Bound to a path it runs the crash-safe WAL engine: every
 mutation appends one checksummed, fsync'd record to a per-collection
 append-only log under ``<path>.wal/`` (see :mod:`repro.store.wal` and the
 "Store engine" section of DESIGN.md).

@@ -5,18 +5,19 @@ Plays the role MongoDB plays in the paper: one database holds the
 re-uploading by specifying the dataset name") and the ``cap_results``
 collection (cached mining results keyed by dataset + parameters).
 
-Three engines share the :class:`Database` surface:
+The path chooses the mode:
 
-* ``memory`` (no path) — collections live in this process only;
-* ``wal`` (the default for a path) — every mutation appends one
-  checksummed record to a per-collection append-only log under
-  ``<path>.wal/`` (see :mod:`repro.store.wal`); opening replays the logs,
-  recovery truncates torn tails, and several processes share the store
-  through one ``flock`` + tail replay.  Deletions are first-class
-  tombstone records, so a removal in one process is a removal everywhere;
-* ``snapshot`` (opt-in, legacy) — the PR 5 whole-database JSON snapshot,
-  kept for export (:meth:`save` always writes it), for migration of
-  pre-WAL stores, and as the comparison arm of the WAL benchmarks.
+* no path — collections live in this process only;
+* a path — every mutation appends one checksummed record to a
+  per-collection append-only log under ``<path>.wal/`` (see
+  :mod:`repro.store.wal`); opening replays the logs, recovery truncates
+  torn tails, and several processes share the store through one
+  ``flock`` + tail replay.  Deletions are first-class tombstone records,
+  so a removal in one process is a removal everywhere.
+
+:meth:`Database.save` writes the whole-database JSON snapshot
+(``repro-store-v1``): the export format, and the format pre-WAL stores
+were kept in.
 
 A legacy ``repro-store-v1`` snapshot at ``path`` is migrated to WAL
 segments on first open; the original file is left byte-untouched until
@@ -136,8 +137,7 @@ def write_segment(
 class Database:
     """A set of named collections, optionally bound to durable storage."""
 
-    def __init__(self, path: str | Path | None = None,
-                 engine: str = "wal") -> None:
+    def __init__(self, path: str | Path | None = None) -> None:
         self._collections: dict[str, Collection] = {}
         self.path = Path(path) if path is not None else None
         self._tlock = threading.RLock()
@@ -146,15 +146,8 @@ class Database:
         self._wal_root: Path | None = None
         self._wal_ready = False
         self._wal_dir_dirty = False
-        if self.path is None:
-            self.engine = "memory"
-        elif engine == "snapshot":
-            self.engine = "snapshot"
-            if self.path.exists():
-                for collection in self._read_snapshot(self.path):
-                    self._collections[collection.name] = collection
-        elif engine == "wal":
-            self.engine = "wal"
+        self.engine = "memory" if self.path is None else "wal"
+        if self.path is not None:
             self._wal_root = self.path.with_name(self.path.name + ".wal")
             self._wal_root.mkdir(parents=True, exist_ok=True)
             # Open under the store lock: migrate a legacy snapshot if one
@@ -162,10 +155,6 @@ class Database:
             # truncate any torn tail a previous crash left behind.
             with self.exclusive():
                 pass
-        else:
-            raise ValueError(
-                f'engine must be "wal" or "snapshot", got {engine!r}'
-            )
 
     # -- collection management ------------------------------------------------
 
@@ -210,24 +199,6 @@ class Database:
                 existed = True
             return existed
 
-    def replace_collection(self, collection: Collection) -> None:
-        """Swap in a collection object wholesale (keyed by its name).
-
-        Used by the *snapshot* engine's refresh protocol, which adopts
-        another process's view of a collection from the shared snapshot.
-        The WAL engine never swaps objects — peers' records replay into
-        the existing collection — but rebinding keeps a swapped-in
-        collection journaled if someone does it anyway.
-        """
-        if self.engine == "wal":
-            collection.bind_engine(
-                guard=self.exclusive,
-                journal=lambda record, _name=collection.name: self._wal_append(
-                    _name, record
-                ),
-            )
-        self._collections[collection.name] = collection
-
     def stats(self) -> dict[str, Any]:
         """Document counts per collection (the admin endpoint's payload),
         plus per-segment WAL counters when this store journals."""
@@ -263,8 +234,8 @@ class Database:
         always starts from the shared present — id assignment and
         ``update_if`` CAS decisions are then correct across processes)
         and exit fsyncs every dirty log *before* the lock releases, so an
-        acknowledged mutation is durable.  Other engines: the process
-        lock only (their collections are process-local between saves).
+        acknowledged mutation is durable.  In memory: the process lock
+        only.
 
         Reentrant: nested sections piggyback on the outer one (``flock``
         self-deadlocks across fds of one process otherwise) and share its
@@ -482,11 +453,10 @@ class Database:
     def save(self, path: str | Path | None = None) -> Path:
         """Write a JSON snapshot atomically *and durably*; returns the path.
 
-        The WAL engine does not need this for durability (appends are
-        fsync'd per transition) — it remains the export format and the
-        snapshot engine's persistence.  The temp file is fsync'd before
-        the rename and the directory after it, so the snapshot survives
-        power loss, not just process death.
+        The WAL does not need this for durability (appends are fsync'd
+        per transition) — it is the export format.  The temp file is
+        fsync'd before the rename and the directory after it, so the
+        snapshot survives power loss, not just process death.
         """
         target = Path(path) if path is not None else self.path
         if target is None:

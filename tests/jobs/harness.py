@@ -25,6 +25,7 @@ built entirely from these pieces.
 from __future__ import annotations
 
 import csv
+import http.client
 import io
 import json
 import os
@@ -208,8 +209,9 @@ class ServerProcess:
         """One request; ``(None, None)`` when the server died mid-request.
 
         A fault-point exit tears the connection down before any response is
-        written — for the crash tests that is the *expected* outcome, so it
-        is reported, not raised.
+        written, or after the status line but before the whole body (an
+        ``IncompleteRead``) — for the crash tests that is the *expected*
+        outcome, so it is reported, not raised.
         """
         assert self.port is not None
         data = None
@@ -231,7 +233,13 @@ class ServerProcess:
                 return response.status, response.read()
         except urllib.error.HTTPError as exc:
             return exc.code, exc.read()
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError):
+        except (
+            urllib.error.URLError,
+            http.client.HTTPException,
+            ConnectionError,
+            TimeoutError,
+            OSError,
+        ):
             return None, None
 
     def get_json(self, path: str):

@@ -1,7 +1,7 @@
 """Distributed-registry units: shard sub-jobs, release, backoff, dead-letter.
 
 The shard protocol at the store level, where every interleaving is cheap to
-arrange: two :class:`DurableJobStore` instances on one snapshot path stand
+arrange: two :class:`DurableJobStore` instances on one store path stand
 in for two server processes, and a controllable clock lapses leases and
 backoff windows on demand.  The subprocess crash matrix
 (``tests/server/test_distributed_jobs.py``) proves the same rules end to

@@ -1,6 +1,6 @@
 """DurableJobStore units: persisted state machine, leases, recovery rules.
 
-Two store instances opened on one snapshot path stand in for two server
+Two store instances opened on one store path stand in for two server
 processes — the same protocol the subprocess suites exercise end-to-end,
 tested here at the registry level where every interleaving is cheap to
 arrange.
@@ -107,10 +107,26 @@ class TestPersistedLifecycle:
             store.request_cancel(job.job_id)
 
     def test_in_memory_database_keeps_semantics(self, clock):
-        # No snapshot path: still a registry, just process-local.
+        # No store path: still a registry, just process-local.
         store = DurableJobStore(Database(), worker_id="solo", clock=clock)
         job, _ = store.open_job("santander", PARAMS, KEY)
-        store.mark_running(job.job_id)
+        claimed = store.mark_running(job.job_id)
+        # Progress writes through and is monotone within the attempt; an
+        # early tick leaves the lease alone.
+        assert store.set_progress(job.job_id, 2, 4).progress == 0.5
+        assert store.set_progress(job.job_id, 1, 4).progress == 0.5
+        assert store.get(job.job_id).progress == 0.5
+        assert store.get(job.job_id).lease_expires_at == claimed.lease_expires_at
+        clock.advance(11.0)  # past a third of the 30 s lease
+        # A tick carrying a stale attempt touches neither progress nor lease.
+        stale = store.set_progress(job.job_id, 3, 4, attempt=claimed.attempt - 1)
+        assert stale.progress == 0.5
+        assert stale.lease_expires_at == claimed.lease_expires_at
+        # The live attempt's tick advances progress and renews the lease.
+        renewed = store.set_progress(job.job_id, 3, 4, attempt=claimed.attempt)
+        assert renewed.progress == 0.75
+        assert renewed.lease_expires_at > claimed.lease_expires_at
+        assert store.get(job.job_id).lease_expires_at == renewed.lease_expires_at
         final = store.mark_succeeded(job.job_id, result_key=KEY)
         assert final.state == SUCCEEDED and final.worker_id == "solo"
 
@@ -319,8 +335,8 @@ class TestRegistryViews:
         assert store.get(job.job_id).progress == pytest.approx(1 / 8)
 
     def test_persist_removal_survives_refresh(self, store, store_path, clock):
-        """A deletion pushed through persist_removal is the snapshot's new
-        truth: a peer's write no longer resurrects the document."""
+        """A deletion pushed through persist_removal is a tombstone record:
+        a peer's later write does not resurrect the document."""
         results = store.database.collection("cap_results")
         results.insert_one({"key": KEY, "result": {}})
         job, _ = store.open_job("santander", PARAMS, KEY)  # persists everything

@@ -176,11 +176,11 @@ def test_exclusive_serializes_two_instances(tmp_path):
 
 def _legacy_store(tmp_path, documents):
     path = tmp_path / "store.json"
-    legacy = Database(path, engine="snapshot")
+    legacy = Database()
     legacy["caps"].create_index("i", "hash")
     for document in documents:
         legacy["caps"].insert_one(dict(document))
-    legacy.save()
+    legacy.save(path)
     return path, legacy
 
 

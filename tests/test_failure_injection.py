@@ -27,9 +27,9 @@ from tests.conftest import make_timeline, step_series
 class TestStoreCorruption:
     def test_truncated_snapshot_quarantined(self, tmp_path):
         path = tmp_path / "db.json"
-        db = Database(path, engine="snapshot")
+        db = Database()
         db["x"].insert_one({"a": 1})
-        db.save()
+        db.save(path)
         # Truncate the file mid-JSON.
         raw = path.read_text()
         path.write_text(raw[: len(raw) // 2])
@@ -43,9 +43,9 @@ class TestStoreCorruption:
 
     def test_save_failure_preserves_previous_snapshot(self, tmp_path):
         path = tmp_path / "db.json"
-        db = Database(path, engine="snapshot")
+        db = Database()
         db["x"].insert_one({"a": 1})
-        db.save()
+        db.save(path)
         before = path.read_text()
 
         # Inject: a document that cannot be JSON-encoded.
