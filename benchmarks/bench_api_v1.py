@@ -14,8 +14,15 @@ quantifies the two serving-tier wins over the legacy RPC shape:
   Measured: the revalidation hit rate (must be 100% for an unchanged
   dataset) and the 304 latency against an unconditional GET.
 
+Both are measured at two result sizes: a Santander city of about 130
+CAPs and the 144-sensor china6 city of 4,800 CAPs.  Page, metadata and
+304 latency must not grow with the result (stored documents are read
+without a copy and the decoded result is memoized), so the bench gates on
+shape: the large result's page p50 over the small one's stays under
+:data:`MAX_PAGE_SIZE_RATIO`.
+
 Results land in ``BENCH_api_v1.json`` at the repository root (CI's bench
-lane uploads it).
+lane uploads it), stamped with the core count.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import time
 from pathlib import Path
 
 from repro.data.datasets import recommended_parameters
-from repro.data.synthetic import generate_santander
+from repro.data.synthetic import generate_china6, generate_santander
 from repro.server.app import TestClient, create_app
 
 from .conftest import machine_info, print_table
@@ -35,6 +42,8 @@ REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_api_v1.json"
 
 PAGE_LIMIT = 20
 SAMPLES = 40
+#: Large ÷ small page p50 bound: a page's cost must not track the result.
+MAX_PAGE_SIZE_RATIO = 3.0
 
 
 def _timed_ms(fn) -> tuple[float, object]:
@@ -47,9 +56,8 @@ def _p50(samples: list[float]) -> float:
     return statistics.median(samples)
 
 
-def test_api_v1_pages_and_conditional_gets():
-    dataset = generate_santander(seed=3, neighbourhoods=10, steps=360)
-    params = recommended_parameters("santander").with_updates(min_support=5)
+def _measure(dataset, params) -> dict:
+    """Serve one mined result and time its pages and conditional GETs."""
     app = create_app(job_workers=1)
     client = TestClient(app)
     try:
@@ -116,46 +124,79 @@ def test_api_v1_pages_and_conditional_gets():
             if response.status == 304:
                 not_modified += 1
                 assert response.body == b""
-        hit_rate = not_modified / SAMPLES
-
-        rows = [
-            {"metric": "POST /mine full payload p50 (v0)",
-             "ms": round(_p50(full_ms), 3), "bytes": full_bytes},
-            {"metric": f"GET caps page p50 (limit={PAGE_LIMIT})",
-             "ms": round(_p50(page_ms), 3), "bytes": page_bytes},
-            {"metric": "GET result metadata p50",
-             "ms": round(_p50(uncond_ms), 3), "bytes": len(client.get(meta_url).body)},
-            {"metric": "conditional GET p50 (If-None-Match)",
-             "ms": round(_p50(cond_ms), 3), "bytes": 0},
-            {"metric": "304 hit rate", "ms": "", "bytes": f"{hit_rate:.0%}"},
-        ]
-        print_table(
-            f"API v1 vs legacy full payload ({num_caps} CAPs)", rows
-        )
-
-        REPORT_PATH.write_text(json.dumps({
-            "benchmark": "bench_api_v1",
-            "machine": machine_info(),
-            "timed_region": "in-process API request latencies (cache-hot)",
+        return {
             "num_caps": num_caps,
-            "page_limit": PAGE_LIMIT,
-            "samples": SAMPLES,
             "full_payload_p50_ms": _p50(full_ms),
             "full_payload_bytes": full_bytes,
             "page_p50_ms": _p50(page_ms),
             "page_bytes": page_bytes,
             "metadata_p50_ms": _p50(uncond_ms),
+            "metadata_bytes": len(client.get(meta_url).body),
             "conditional_p50_ms": _p50(cond_ms),
-            "not_modified_hit_rate": hit_rate,
+            "not_modified_hit_rate": not_modified / SAMPLES,
             "payload_reduction": full_bytes / page_bytes,
-        }, indent=2) + "\n")
+        }
+    finally:
+        app.close(wait=True)
 
+
+def test_api_v1_pages_and_conditional_gets():
+    small = _measure(
+        generate_santander(seed=3, neighbourhoods=10, steps=360),
+        recommended_parameters("santander").with_updates(min_support=5),
+    )
+    large = _measure(
+        generate_china6(seed=0, grid_rows=4, grid_cols=6, steps=480),
+        recommended_parameters("china6"),
+    )
+    page_ratio = large["page_p50_ms"] / small["page_p50_ms"]
+
+    rows = []
+    for size in (small, large):
+        caps = size["num_caps"]
+        rows += [
+            {"caps": caps, "metric": "POST /mine full payload p50 (v0)",
+             "ms": round(size["full_payload_p50_ms"], 3),
+             "bytes": size["full_payload_bytes"]},
+            {"caps": caps, "metric": f"GET caps page p50 (limit={PAGE_LIMIT})",
+             "ms": round(size["page_p50_ms"], 3), "bytes": size["page_bytes"]},
+            {"caps": caps, "metric": "GET result metadata p50",
+             "ms": round(size["metadata_p50_ms"], 3), "bytes": size["metadata_bytes"]},
+            {"caps": caps, "metric": "conditional GET p50 (If-None-Match)",
+             "ms": round(size["conditional_p50_ms"], 3), "bytes": 0},
+            {"caps": caps, "metric": "304 hit rate", "ms": "",
+             "bytes": f"{size['not_modified_hit_rate']:.0%}"},
+        ]
+    print_table(
+        f"API v1 vs legacy full payload (page p50 large/small = {page_ratio:.2f})",
+        rows,
+    )
+
+    REPORT_PATH.write_text(json.dumps({
+        "benchmark": "bench_api_v1",
+        "machine": machine_info(),
+        "timed_region": "in-process API request latencies (cache-hot)",
+        "page_limit": PAGE_LIMIT,
+        "samples": SAMPLES,
+        "sizes": {"small": small, "large": large},
+        "page_size_ratio": page_ratio,
+        "max_page_size_ratio": MAX_PAGE_SIZE_RATIO,
+    }, indent=2) + "\n")
+
+    for size in (small, large):
         # The redesign's claims: every repeated conditional GET revalidates,
         # and a page is strictly cheaper than the full legacy payload.
-        assert hit_rate == 1.0, "ETag revalidation must hit for unchanged data"
-        assert page_bytes < full_bytes, "a page must be smaller than the full payload"
-        assert _p50(page_ms) < _p50(full_ms), (
+        assert size["not_modified_hit_rate"] == 1.0, (
+            "ETag revalidation must hit for unchanged data"
+        )
+        assert size["page_bytes"] < size["full_payload_bytes"], (
+            "a page must be smaller than the full payload"
+        )
+        assert size["page_p50_ms"] < size["full_payload_p50_ms"], (
             "serving one page must beat re-serializing the full payload"
         )
-    finally:
-        app.close()
+    assert page_ratio < MAX_PAGE_SIZE_RATIO, (
+        f"a page of the {large['num_caps']}-CAP result costs {page_ratio:.1f}x "
+        f"one of the {small['num_caps']}-CAP result; page latency must not "
+        f"grow with the result"
+    )

@@ -10,13 +10,22 @@ canonical hash of (dataset name, parameters).
 ``mine_cached`` is the interactive-analysis entry point: a hit replays the
 stored result (``from_cache=True``), a miss runs the miner and stores the
 outcome.  Statistics (hits/misses/evictions) feed the caching benchmark.
+
+Decoding a stored result back into a :class:`MiningResult` costs time in
+proportion to the result, so :meth:`ResultCache.decode` keeps the decoded
+objects of recently read results.  A memo entry is used only while the
+store still holds the very document object it was decoded from: stored
+documents are frozen and every write installs a new object, so a
+re-upload, a delete or a write replayed from a peer process can never be
+answered with stale CAPs.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Mapping
 
 from ..core.miner import MiningResult, MiscelaMiner
 from ..core.parallel import MiningControl
@@ -67,6 +76,10 @@ class CacheStats:
 class ResultCache:
     """Parameter-keyed cache of mining results backed by the document store."""
 
+    #: Decoded results kept by :meth:`decode`; a parameter sweep must not
+    #: pin every result in RAM.
+    DECODED_CAPACITY = 32
+
     def __init__(self, database: Database, policy: EvictionPolicy | None = None) -> None:
         self.database = database
         self.policy: EvictionPolicy = policy if policy is not None else NoEviction()
@@ -76,6 +89,8 @@ class ResultCache:
         # index maintenance), so every store access serializes here.  Mining
         # itself (``mine_cached``'s miss path) runs outside the lock.
         self._lock = threading.RLock()
+        # cache key -> (stored document, its decoded result), LRU order.
+        self._decoded: OrderedDict[str, tuple[Mapping[str, Any], MiningResult]] = OrderedDict()
         collection = database.collection(_COLLECTION)
         collection.create_index("key", "hash")
         collection.create_index("payload.dataset", "hash")
@@ -99,7 +114,28 @@ class ResultCache:
                 return None
             self.stats.hits += 1
             _HITS.inc()
-        return MiningResult.from_document(document["result"])
+        return self.decode(document)
+
+    def decode(self, document: Mapping[str, Any]) -> MiningResult:
+        """The result stored in one ``cap_results`` document, decoded once.
+
+        The same object is returned while the store keeps that document
+        (checked by identity), so callers share it and must not mutate it.
+        """
+        key = str(document["key"])
+        with self._lock:
+            entry = self._decoded.get(key)
+            if entry is not None and entry[0] is document:
+                self._decoded.move_to_end(key)
+                return entry[1]
+        # Decode outside the lock: it is slow for big results.
+        result = MiningResult.from_document(document["result"])
+        with self._lock:
+            self._decoded[key] = (document, result)
+            self._decoded.move_to_end(key)
+            while len(self._decoded) > self.DECODED_CAPACITY:
+                self._decoded.popitem(last=False)
+        return result
 
     def put(self, result: MiningResult) -> str:
         """Store a mining result; returns its cache key."""

@@ -37,6 +37,7 @@ Every error rendered under this prefix uses the uniform envelope
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Any, Mapping
 from urllib.parse import urlencode
 
@@ -341,6 +342,10 @@ def _page_link_header(
 
 def register_v1_routes(router: Any, state: ServerState) -> None:
     """Attach the ``/api/v1`` resource routes to a router."""
+    # Weak: the router holds these handlers, so a strong reference back
+    # would make a cycle that keeps the state (and its store) alive after
+    # the app is dropped, until the cyclic garbage collector runs.
+    router_ref = weakref.ref(router)
 
     @router.get(
         "/api/v1",
@@ -374,7 +379,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         """Self-describing schema generated from router introspection."""
         from .schema import build_schema  # local: schema imports nothing from here
 
-        return json_response(build_schema(router))
+        return json_response(build_schema(router_ref()))
 
     # -- datasets -------------------------------------------------------------
 
@@ -645,7 +650,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         if not_modified is not None:
             return not_modified
 
-        result = state.result_from_document(document)
+        result = state.cache.decode(document)
         caps = result.caps_containing(sensor) if sensor else result.caps
         if attribute:
             caps = [cap for cap in caps if attribute in cap.attributes]

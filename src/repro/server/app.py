@@ -74,12 +74,17 @@ class App:
         jobs — a worker synchronously mining a claimed job needs that
         cancel to reach its next checkpoint, otherwise joining it would
         wait out the whole mine.
+
+        Last, the database is closed (:meth:`Database.close`): its log
+        descriptors are released at once, the store stays readable, and a
+        write still attempted by a cancelled job raises instead of landing.
         """
         if self.compactor is not None:
             self.compactor.stop(wait=wait)
         self.state.stop_job_worker(wait=False)
         self.state.jobs.shutdown(wait=wait)
         self.state.stop_job_worker(wait=wait)
+        self.state.database.close()
 
 
 def create_app(

@@ -32,6 +32,7 @@ import io
 import os
 import threading
 import time
+import weakref
 from typing import Any, Mapping
 
 from ..cache.cache import ResultCache
@@ -98,7 +99,7 @@ class ServerState:
 
     With the threaded WSGI server and the background job executor, handlers
     run concurrently; ``self.lock`` guards the in-memory mutable state
-    (dataset registry caches, upload sessions, the memoized-result LRU).
+    (dataset registry caches, upload sessions).
     Mining itself never holds the lock — only the bookkeeping around it
     does.
 
@@ -178,12 +179,6 @@ class ServerState:
         # client streaming a big upload would stall every other handler.
         self._pending_locks: dict[str, threading.Lock] = {}
         self._loaded: dict[str, SensorDataset] = {}
-        # Deserialized mining results memoized per cache key so the
-        # map-click hot path reuses each result's sensor→CAP inverted index
-        # instead of rebuilding the object (and rescanning) per request.
-        # LRU-bounded: a parameter sweep must not pin every result in RAM.
-        self._results: dict[str, MiningResult] = {}
-        self._results_capacity = 32
         # Dataset generations (see ``_bump_generation``) are bumped on
         # every re-upload/delete; async jobs snapshot the value at submit
         # and refuse to publish a result mined from superseded data, and v1
@@ -298,7 +293,6 @@ class ServerState:
                 collection.insert_one(document)
             # Re-uploading under an existing name invalidates its cached CAPs.
             self.cache.invalidate_dataset(dataset.name)
-            self._drop_results(dataset.name)
             self._loaded[dataset.name] = dataset
         self._bump_generation(dataset.name)
         self._cancel_dataset_jobs(dataset.name)
@@ -320,7 +314,6 @@ class ServerState:
             if not removed:
                 return False
             self.cache.invalidate_dataset(name)
-            self._drop_results(name)
             self._loaded.pop(name, None)
         self._bump_generation(name)
         self._cancel_dataset_jobs(name)
@@ -399,13 +392,6 @@ class ServerState:
         document = self.database.collection(_GENERATIONS).find_one({"name": name})
         return int(document["generation"]) if document else 0
 
-    def _drop_results(self, dataset_name: str) -> None:
-        self._results = {
-            key: result
-            for key, result in self._results.items()
-            if result.dataset_name != dataset_name
-        }
-
     # -- result resources -------------------------------------------------------
 
     def get_result_document(self, key: str) -> Mapping[str, Any]:
@@ -418,27 +404,9 @@ class ServerState:
             raise HTTPError(404, f"unknown result {key!r}", code="unknown_result")
         return document
 
-    def result_from_document(self, document: Mapping[str, Any]) -> MiningResult:
-        """The stored result behind one ``cap_results`` document, memoized."""
-        key = str(document["key"])
-        with self.lock:
-            result = self._results.pop(key, None)
-            if result is not None:
-                self._results[key] = result  # re-insert: dict order is LRU order
-                return result
-        # Deserialize outside the lock — it can be slow for big results.
-        result = MiningResult.from_document(document["result"])
-        with self.lock:
-            self._results.setdefault(key, result)
-            while len(self._results) > self._results_capacity:
-                self._results.pop(next(iter(self._results)))
-            return self._results[key]
-
     def forget_result(self, key: str) -> None:
-        """Drop one result: the stored document and its memoized object."""
+        """Drop one stored result."""
         self.cache.delete_key(key)
-        with self.lock:
-            self._results.pop(key, None)
         if self.durable_jobs:
             # Sweep again under the job registry's lock: a peer may have
             # republished the key since the delete above.
@@ -956,7 +924,7 @@ def correlated_sensors_core(
         )
     correlated: dict[str, set[str]] = {}
     for doc in documents:
-        result = state.result_from_document(doc)
+        result = state.cache.decode(doc)
         for cap in result.caps_containing(sensor_id):
             for other in cap.sensor_ids:
                 if other != sensor_id:
@@ -1106,6 +1074,7 @@ _result_payload = result_payload
 
 def register_routes(router: Any, state: ServerState) -> None:
     """Attach the legacy unversioned routes as v1 deprecation shims."""
+    router_ref = weakref.ref(router)  # no cycle: see register_v1_routes
 
     @router.get(
         "/", deprecated=True, successor="/api/v1",
@@ -1116,7 +1085,7 @@ def register_routes(router: Any, state: ServerState) -> None:
         return json_response(
             {
                 "service": "miscela-v",
-                "routes": [f"{m} {p}" for m, p in router.routes()],
+                "routes": [f"{m} {p}" for m, p in router_ref().routes()],
             }
         )
 
@@ -1303,7 +1272,7 @@ def register_routes(router: Any, state: ServerState) -> None:
                 # sync cache-hit path uses, so the payload is byte-identical
                 # to ``POST /mine`` for the same (dataset, parameters).
                 document["result"] = result_payload(
-                    state.result_from_document(stored)
+                    state.cache.decode(stored)
                 )
         return json_response(document)
 

@@ -5,9 +5,17 @@ store assigns (exposed as ``_id``), supports Mongo-style ``find`` /
 ``insert_one`` / ``update_one`` / ``delete_many``, and consults its
 secondary indexes to avoid full scans for equality and range queries.
 
-Documents are deep-copied on the way in and out so callers can never mutate
-stored state behind the store's back — the same isolation a real database
-client gives you.
+Documents are frozen once, when they enter the store (insert, replace,
+update, WAL replay, snapshot load): every ``dict`` becomes a
+:class:`FrozenDict` and every ``list`` a :class:`FrozenList`, read-only
+subclasses that compare, ``isinstance``-check and serialize exactly like
+the plain containers but raise ``TypeError`` on any mutation.  Reads then
+hand out the stored objects themselves, without a copy, and callers still
+cannot change stored state behind the store's back — the same isolation a
+real database client gives you.  A write never mutates a stored document:
+it installs a new frozen one, so a reader holding the old version keeps
+seeing it.  ``copy.copy`` of a frozen container is a plain one (nested
+values stay frozen); ``copy.deepcopy`` thaws it completely.
 """
 
 from __future__ import annotations
@@ -21,7 +29,90 @@ from .index import HashIndex, SortedIndex
 from .query import MISSING as _MISSING
 from .query import QueryError, compile_query, get_path, matches
 
-__all__ = ["Collection"]
+__all__ = ["Collection", "FrozenDict", "FrozenList", "freeze"]
+
+
+def _read_only(self: Any, *args: Any, **kwargs: Any) -> None:
+    raise TypeError(
+        f"stored documents are read-only ({type(self).__name__}); "
+        f"copy before changing, e.g. dict(document)"
+    )
+
+
+class FrozenDict(dict):
+    """A ``dict`` whose contents cannot change (built only by :func:`freeze`)."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __copy__(self) -> dict:
+        return dict(self)
+
+    def __deepcopy__(self, memo: dict) -> dict:
+        return {key: copy.deepcopy(value, memo) for key, value in self.items()}
+
+    def __reduce__(self) -> tuple:
+        return dict, (dict(self),)
+
+
+class FrozenList(list):
+    """A ``list`` whose contents cannot change (built only by :func:`freeze`)."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
+
+    def __copy__(self) -> list:
+        return list(self)
+
+    def __deepcopy__(self, memo: dict) -> list:
+        return [copy.deepcopy(value, memo) for value in self]
+
+    def __reduce__(self) -> tuple:
+        return list, (list(self),)
+
+
+_IMMUTABLE = frozenset({str, int, float, bool, type(None), FrozenDict, FrozenList})
+
+
+def freeze(value: Any) -> Any:
+    """A deeply read-only version of one JSON-like value.
+
+    Dispatches on the exact type: scalars and already-frozen containers
+    are returned as they are, ``dict``/``list`` are rebuilt frozen and
+    tuples have their items frozen.  Anything else (mapping subclasses,
+    foreign objects) takes the slow path: mappings and lists by
+    ``isinstance``, the rest as a deep copy the caller cannot reach.
+    """
+    kind = type(value)
+    if kind in _IMMUTABLE:
+        return value
+    # The scalar test is repeated inline: most items are scalars, and
+    # skipping the call for them halves the walk.
+    if kind is dict:
+        return FrozenDict({
+            key: item if type(item) in _IMMUTABLE else freeze(item)
+            for key, item in value.items()
+        })
+    if kind is list:
+        return FrozenList([
+            item if type(item) in _IMMUTABLE else freeze(item) for item in value
+        ])
+    if kind is tuple:
+        return tuple(freeze(item) for item in value)
+    if isinstance(value, Mapping):
+        return FrozenDict({key: freeze(item) for key, item in value.items()})
+    if isinstance(value, list):
+        return FrozenList([freeze(item) for item in value])
+    return copy.deepcopy(value)
+
+
+def _frozen_document(document: Mapping[str, Any], doc_id: int) -> FrozenDict:
+    """Freeze one top-level document with its store-assigned ``_id``."""
+    doc = {key: freeze(value) for key, value in document.items()}
+    doc["_id"] = doc_id
+    return FrozenDict(doc)
 
 
 class Collection:
@@ -31,7 +122,7 @@ class Collection:
         if not name:
             raise ValueError("collection name must be non-empty")
         self.name = name
-        self._documents: dict[int, dict[str, Any]] = {}
+        self._documents: dict[int, FrozenDict] = {}
         self._next_id = 1
         self._hash_indexes: dict[str, HashIndex] = {}
         self._sorted_indexes: dict[str, SortedIndex] = {}
@@ -100,8 +191,8 @@ class Collection:
                 self._next_id = max(self._next_id, int(record["value"]))
 
     def _replay_put(self, document: Mapping[str, Any]) -> None:
-        doc = copy.deepcopy(dict(document))
-        doc_id = int(doc["_id"])
+        doc_id = int(document["_id"])
+        doc = _frozen_document(document, doc_id)
         with self._write_lock:
             if doc_id in self._documents:
                 self._unindex(doc_id)
@@ -189,12 +280,13 @@ class Collection:
         """
         if not isinstance(document, Mapping):
             raise TypeError(f"document must be a mapping, got {type(document).__name__}")
-        doc = copy.deepcopy(dict(document))
+        fields = {key: freeze(value) for key, value in document.items()}
         with self._engine():
             with self._write_lock:
                 doc_id = self._next_id
                 self._next_id += 1
-                doc["_id"] = doc_id
+                fields["_id"] = doc_id
+                doc = FrozenDict(fields)
                 self._documents[doc_id] = doc
                 for index in self._hash_indexes.values():
                     index.insert(doc_id, doc)
@@ -220,8 +312,7 @@ class Collection:
                     return None
                 doc_id = found["_id"]
                 self._unindex(doc_id)
-                doc = copy.deepcopy(dict(document))
-                doc["_id"] = doc_id
+                doc = _frozen_document(document, doc_id)
                 self._documents[doc_id] = doc
                 self._index(doc_id, doc)
                 self._journal_put(doc_id)
@@ -266,12 +357,16 @@ class Collection:
                 return doc_id
 
     def _apply_changes(self, doc_id: int, changes: Mapping[str, Any]) -> int:
-        doc = self._documents[doc_id]
-        self._unindex(doc_id)
+        """Install a new frozen version with ``changes`` set on top; the
+        old version is never mutated, so earlier readers keep it intact."""
+        if "_id" in changes:
+            raise QueryError("_id is immutable")
+        fields = dict(self._documents[doc_id])
         for key, value in changes.items():
-            if key == "_id":
-                raise QueryError("_id is immutable")
-            doc[key] = copy.deepcopy(value)
+            fields[key] = freeze(value)
+        self._unindex(doc_id)
+        doc = FrozenDict(fields)
+        self._documents[doc_id] = doc
         self._index(doc_id, doc)
         return doc_id
 
@@ -362,7 +457,10 @@ class Collection:
         descending: bool = False,
         limit: int | None = None,
     ) -> list[dict[str, Any]]:
-        """All matching documents (deep copies), optionally sorted/limited.
+        """All matching documents, optionally sorted/limited.
+
+        The documents are the stored frozen objects themselves: read-only,
+        and unaffected by later writes (which install new versions).
 
         ``sort`` is a dotted field path; documents missing the field sort
         last regardless of direction.
@@ -388,7 +486,7 @@ class Collection:
             if limit < 0:
                 raise ValueError(f"limit must be >= 0, got {limit}")
             results = results[:limit]
-        return copy.deepcopy(results)
+        return results
 
     def find_one(self, query: Mapping[str, Any] | None = None) -> dict[str, Any] | None:
         found = self.find(query, limit=1)
@@ -432,7 +530,7 @@ class Collection:
             return {
                 "name": self.name,
                 "next_id": self._next_id,
-                "documents": [copy.deepcopy(d) for d in self._documents.values()],
+                "documents": list(self._documents.values()),
                 "indexes": self.indexes(),
             }
 
@@ -444,8 +542,8 @@ class Collection:
         for path in snapshot.get("indexes", {}).get("sorted", []):
             collection.create_index(path, "sorted")
         for document in snapshot.get("documents", []):
-            doc = copy.deepcopy(dict(document))
-            doc_id = int(doc["_id"])
+            doc_id = int(document["_id"])
+            doc = _frozen_document(document, doc_id)
             collection._documents[doc_id] = doc
             collection._index(doc_id, doc)
         collection._next_id = int(snapshot.get("next_id", 1))

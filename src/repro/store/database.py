@@ -98,6 +98,11 @@ def collection_records(collection: Collection) -> Iterator[dict[str, Any]]:
     yield {"op": "next", "value": dump["next_id"]}
 
 
+def _closed_store(*_args: Any) -> Any:
+    """Engine hook of every collection of a closed database."""
+    raise RuntimeError("the database is closed; writes are refused")
+
+
 def _fsync_dir(path: Path) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -146,6 +151,7 @@ class Database:
         self._wal_root: Path | None = None
         self._wal_ready = False
         self._wal_dir_dirty = False
+        self._closed = False
         self.engine = "memory" if self.path is None else "wal"
         if self.path is not None:
             self._wal_root = self.path.with_name(self.path.name + ".wal")
@@ -160,7 +166,9 @@ class Database:
 
     def _new_collection(self, name: str) -> Collection:
         collection = Collection(name)
-        if self.engine == "wal":
+        if self._closed:
+            collection.bind_engine(guard=_closed_store, journal=_closed_store)
+        elif self.engine == "wal":
             collection.bind_engine(
                 guard=self.exclusive,
                 journal=lambda record, _name=name: self._wal_append(_name, record),
@@ -223,6 +231,25 @@ class Database:
             payload["wal"] = segments
         return payload
 
+    def close(self) -> None:
+        """Release the store: close every log descriptor and cut the
+        collections' hooks back into this object.
+
+        Those hooks form a reference cycle (collection -> bound
+        ``exclusive`` -> database -> collection), so without ``close`` a
+        dropped database waits for the cyclic garbage collector, and its
+        log descriptors have no finalizer at all.  A closed database still
+        answers reads from memory; every write raises ``RuntimeError``.
+        Idempotent; waits for a critical section in progress.
+        """
+        with self._tlock:
+            self._closed = True
+            for log in self._wal_logs.values():
+                log.close()
+            self._wal_logs.clear()
+            for collection in self._collections.values():
+                collection.bind_engine(guard=_closed_store, journal=_closed_store)
+
     # -- WAL engine: locking, replay, recovery ----------------------------------
 
     @contextmanager
@@ -242,6 +269,8 @@ class Database:
         single exit fsync.
         """
         with self._tlock:
+            if self._closed:
+                _closed_store()
             if self.engine != "wal":
                 yield
                 return
@@ -284,8 +313,8 @@ class Database:
         if self.engine != "wal":
             return
         with self._tlock:
-            if self._lock_depth > 0:
-                return  # inside exclusive: entry already refreshed
+            if self._lock_depth > 0 or self._closed:
+                return  # inside exclusive (entry already refreshed), or closed
             self._wal_refresh(truncate_torn=False)
 
     def _wal_open_locked(self) -> None:

@@ -51,6 +51,41 @@ class TestGetPut:
         assert len(cache) == 1
 
 
+class TestDecodedMemo:
+    def test_hits_share_one_decoded_result(self, cache, tiny_dataset, tiny_params):
+        cache.put(MiscelaMiner(tiny_params).mine(tiny_dataset))
+        assert cache.get("tiny", tiny_params) is cache.get("tiny", tiny_params)
+
+    def test_rewritten_document_is_decoded_again(self, cache, tiny_dataset, tiny_params):
+        result = MiscelaMiner(tiny_params).mine(tiny_dataset)
+        cache.put(result)
+        first = cache.get("tiny", tiny_params)
+        result.caps = result.caps[:1]
+        cache.put(result)  # same key, new stored document
+        second = cache.get("tiny", tiny_params)
+        assert second is not first
+        assert second.num_caps == 1
+
+    def test_memo_never_outlives_a_delete(self, cache, tiny_dataset, tiny_params):
+        result = MiscelaMiner(tiny_params).mine(tiny_dataset)
+        cache.put(result)
+        stale = cache.get("tiny", tiny_params)
+        cache.invalidate_dataset("tiny")
+        assert cache.get("tiny", tiny_params) is None
+        result.caps = []
+        cache.put(result)
+        fresh = cache.get("tiny", tiny_params)
+        assert fresh is not stale and fresh.num_caps == 0
+
+    def test_memo_is_bounded(self, cache, tiny_dataset, tiny_params):
+        result = MiscelaMiner(tiny_params).mine(tiny_dataset)
+        for support in range(1, ResultCache.DECODED_CAPACITY + 6):
+            result.parameters = tiny_params.with_updates(min_support=support)
+            cache.put(result)
+            cache.get("tiny", result.parameters)
+        assert len(cache._decoded) == ResultCache.DECODED_CAPACITY
+
+
 class TestMineCached:
     def test_second_call_is_cache_hit(self, cache, tiny_dataset, tiny_params):
         first = cache.mine_cached(tiny_dataset, tiny_params)

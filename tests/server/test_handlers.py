@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import weakref
+
 import pytest
 
 from repro.data.datasets import recommended_parameters
@@ -201,6 +205,30 @@ class TestAdminAndMisc:
 
 
 class TestPersistenceAcrossRestart:
+    def test_close_releases_the_store(self, tmp_path, dataset):
+        """Reopening a store and closing its app leaks no descriptor, and
+        the closed database dies with its last reference (no cycle)."""
+        path = tmp_path / "server.json"
+        app = create_app(Database.open(path))
+        assert TestClient(app).upload_dataset(dataset, chunk_lines=1000).status == 201
+        app.close(wait=True)
+        counts = []
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(5):
+                database = Database.open(path)
+                app = create_app(database)
+                app.close(wait=True)
+                ref = weakref.ref(database)
+                del app, database
+                assert ref() is None
+                counts.append(len(os.listdir("/proc/self/fd")))
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(set(counts)) == 1, counts
+
     def test_dataset_survives_restart(self, tmp_path, dataset):
         path = tmp_path / "server.json"
         app = create_app(Database(path))

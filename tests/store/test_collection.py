@@ -60,8 +60,39 @@ class TestInsertFind:
         with pytest.raises(TypeError):
             people.insert_one(["nope"])  # type: ignore[arg-type]
 
-    def test_returned_documents_are_copies(self, people):
-        doc = people.find_one({"name": "ada"})
+    def test_returned_documents_are_read_only(self):
+        c = Collection("c")
+        c.insert_one({"name": "ada", "langs": ["en"], "meta": {"tags": ["x"]}})
+        doc = c.find_one({"name": "ada"})
+        mutations = [
+            lambda: doc.__setitem__("name", "bob"),
+            lambda: doc.update(name="bob"),
+            lambda: doc.pop("name"),
+            lambda: doc.__delitem__("langs"),
+            lambda: doc.setdefault("new", 1),
+            lambda: doc.clear(),
+            lambda: doc["langs"].append("fr"),
+            lambda: doc["langs"].__setitem__(0, "fr"),
+            lambda: doc["langs"].extend(["fr"]),
+            lambda: doc["langs"].sort(),
+            lambda: doc["meta"]["tags"].pop(),
+            lambda: doc["meta"].__setitem__("tags", []),
+        ]
+        for mutate in mutations:
+            with pytest.raises(TypeError):
+                mutate()
+        assert c.find_one({}) == {
+            "name": "ada", "langs": ["en"], "meta": {"tags": ["x"]}, "_id": 1
+        }
+
+    def test_read_documents_survive_later_updates(self, people):
+        before = people.find_one({"name": "ada"})
+        people.update_one({"name": "ada"}, {"age": 37, "city": "paris"})
+        assert before["age"] == 36 and before["city"] == "london"
+        assert people.find_one({"name": "ada"})["age"] == 37
+
+    def test_copies_of_returned_documents_are_mutable(self, people):
+        doc = dict(people.find_one({"name": "ada"}))
         doc["age"] = 999
         assert people.find_one({"name": "ada"})["age"] == 36
 

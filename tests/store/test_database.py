@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -36,6 +37,30 @@ class TestCollections:
         stats = db.stats()
         assert stats["collections"] == {"a": 2}
         assert stats["path"] is None
+
+
+class TestClose:
+    def test_close_releases_descriptors_and_refuses_writes(self, tmp_path):
+        before = len(os.listdir("/proc/self/fd"))
+        db = Database(tmp_path / "db.json")
+        for name in ("a", "b", "c"):
+            db[name].insert_one({"name": name})
+        assert len(os.listdir("/proc/self/fd")) == before + 3  # one log each
+        db.close()
+        db.close()  # idempotent
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert db["a"].find_one({})["name"] == "a"  # reads answer from memory
+        db.refresh()  # a no-op once closed
+        with pytest.raises(RuntimeError, match="closed"):
+            db["a"].insert_one({"name": "late"})
+        with pytest.raises(RuntimeError, match="closed"):
+            db["new"].insert_one({"name": "late"})
+        with pytest.raises(RuntimeError, match="closed"):
+            with db.exclusive():
+                pass
+        reopened = Database(tmp_path / "db.json")
+        assert reopened["a"].count() == 1
+        reopened.close()
 
 
 class TestPersistence:

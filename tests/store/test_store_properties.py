@@ -10,19 +10,26 @@ Invariants:
   won exactly once, by the first attempt that reaches it;
 * WAL torn-tail recovery is *exact*: a log cut or bit-flipped at any byte
   offset replays to precisely the prefix of intact records — never one
-  record short, never a corrupt record adopted.
+  record short, never a corrupt record adopted;
+* frozen documents round-trip: after insert, update, WAL reopen and
+  snapshot migration a stored document equals its plain source, and its
+  ``json.dumps`` and ``copy.deepcopy`` match the source's.
 """
 
 from __future__ import annotations
 
+import copy
+import json
+import tempfile
 import threading
 from bisect import bisect_right
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.store import wal
-from repro.store.collection import Collection
+from repro.store.collection import Collection, FrozenDict, FrozenList, freeze
 from repro.store.database import Database
 
 field_values = st.one_of(
@@ -273,3 +280,84 @@ def test_database_reopen_after_truncation_at_every_offset(tmp_path):
         import shutil
 
         shutil.rmtree(tmp_path / "cut")
+
+
+# -- frozen documents ------------------------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**53), max_value=2**53),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+json_documents = st.dictionaries(
+    st.text(max_size=4).filter(lambda key: key != "_id"), json_values, max_size=5
+)
+
+
+def _assert_plain(value):
+    """No frozen container anywhere: what ``copy.deepcopy`` must hand back."""
+    assert type(value) not in (FrozenDict, FrozenList)
+    if isinstance(value, dict):
+        for item in value.values():
+            _assert_plain(item)
+    elif isinstance(value, list):
+        for item in value:
+            _assert_plain(item)
+
+
+def _assert_round_trip(stored, source):
+    assert isinstance(stored, dict) and type(stored) is FrozenDict
+    assert stored == source
+    assert json.dumps(stored) == json.dumps(source)
+    thawed = copy.deepcopy(stored)
+    assert thawed == source
+    assert json.dumps(thawed) == json.dumps(source)
+    _assert_plain(thawed)
+
+
+@given(json_values)
+@settings(max_examples=200)
+def test_freeze_equals_its_source(value):
+    frozen = freeze(value)
+    assert frozen == value
+    assert json.dumps(frozen) == json.dumps(value)
+    assert copy.deepcopy(frozen) == value
+    _assert_plain(copy.deepcopy(frozen))
+
+
+@given(json_documents, json_documents)
+@settings(max_examples=40, deadline=None)
+def test_frozen_documents_round_trip(document, changes):
+    """Insert, update, WAL reopen and snapshot migration all keep a stored
+    document equal to its plain source, down to its JSON bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store.json"
+        database = Database(path)
+        docs = database["docs"]
+        doc_id = docs.insert_one(document)
+        inserted = {**document, "_id": doc_id}
+        _assert_round_trip(docs.find_one({"_id": doc_id}), inserted)
+
+        docs.update_one({"_id": doc_id}, changes)
+        updated = {**inserted, **changes}
+        _assert_round_trip(docs.find_one({"_id": doc_id}), updated)
+        database.close()
+
+        reopened = Database(path)
+        _assert_round_trip(reopened["docs"].find_one({"_id": doc_id}), updated)
+        snapshot = reopened.save(Path(tmp) / "legacy" / "store.json")
+        reopened.close()
+
+        migrated = Database(snapshot)  # repro-store-v1 -> WAL segments
+        _assert_round_trip(migrated["docs"].find_one({"_id": doc_id}), updated)
+        migrated.close()
