@@ -5,16 +5,18 @@ keeps the *serving tier* responsive while that happens.  The bench drives
 the real API app in-process and measures the two latencies the async
 redesign is about:
 
-* **submit → 202**: how long ``POST /mine mode=async`` takes to hand back a
-  job id (the old sync path held the connection for the whole mine);
-* **poll under load**: how long ``GET /jobs/{id}`` and ``GET /admin/stats``
-  take *while the background executor is mining* — the "interactive map
-  stays live" guarantee, quantified.
+* **submit → 202**: how long ``POST /api/v1/datasets/{name}/results`` with
+  ``mode=async`` takes to hand back a job id (the sync path holds the
+  connection for the whole mine);
+* **poll under load**: how long ``GET /api/v1/jobs/{id}`` and
+  ``GET /api/v1/admin/stats`` take *while the background executor is
+  mining* — the "interactive map stays live" guarantee, quantified.
 
-It also asserts the parity acceptance criterion: the finished job's result
-payload is byte-identical to the sync ``POST /mine`` response for the same
-(dataset, parameters).  Results land in ``BENCH_async_server.json`` at the
-repository root (CI's bench lane uploads it).
+It also asserts the parity acceptance criterion: the CAP pages of the
+finished job's result are byte-identical to those of a fresh sync mine of
+the same (dataset, parameters).  Results land in
+``BENCH_async_server.json`` at the repository root (CI's bench lane
+uploads it).
 """
 
 from __future__ import annotations
@@ -40,6 +42,18 @@ POLL_CEILING_S = 2.0
 TIMEOUT_S = 300.0
 
 
+def _all_caps_pages(client: TestClient, key: str) -> bytes:
+    """Every CAP page of one result, fetched in order and joined."""
+    body, offset = b"", 0
+    while True:
+        page = client.get(f"/api/v1/results/{key}/caps?offset={offset}&limit=1000")
+        assert page.status == 200, page.json()
+        body += page.body
+        offset += 1000
+        if offset >= page.json()["total"]:
+            return body
+
+
 def _poll_ms(client: TestClient, path: str) -> float:
     start = time.perf_counter()
     response = client.get(path)
@@ -58,18 +72,16 @@ def test_async_submit_and_poll_latency():
     try:
         assert client.upload_dataset(dataset).status == 201
 
+        results = f"/api/v1/datasets/{dataset.name}/results"
         submit_start = time.perf_counter()
         submitted = client.post(
-            "/mine",
-            json_body={
-                "dataset": dataset.name, "parameters": params, "mode": "async",
-            },
+            results, json_body={"parameters": params, "mode": "async"}
         )
         submit_s = time.perf_counter() - submit_start
         assert submitted.status == 202, submitted.json()
         job_id = submitted.json()["job_id"]
 
-        first_poll_ms = _poll_ms(client, f"/jobs/{job_id}")
+        first_poll_ms = _poll_ms(client, f"/api/v1/jobs/{job_id}")
 
         status_ms: list[float] = []
         stats_ms: list[float] = []
@@ -77,29 +89,35 @@ def test_async_submit_and_poll_latency():
         deadline = time.monotonic() + TIMEOUT_S
         while time.monotonic() < deadline:
             start = time.perf_counter()
-            doc = client.get(f"/jobs/{job_id}").json()
+            doc = client.get(f"/api/v1/jobs/{job_id}").json()
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             progress_trace.append(doc["progress"])
             if doc["state"] in ("succeeded", "failed", "cancelled"):
                 break
             status_ms.append(elapsed_ms)  # only polls made *during* the mine
-            stats_ms.append(_poll_ms(client, "/admin/stats"))
+            stats_ms.append(_poll_ms(client, "/api/v1/admin/stats"))
             time.sleep(0.01)
         assert doc["state"] == "succeeded", doc.get("error")
         assert progress_trace == sorted(progress_trace), "progress regressed"
         assert progress_trace[-1] == 1.0
 
-        mine_s = doc["result"]["elapsed_seconds"]
-        sync = client.post(
-            "/mine", json_body={"dataset": dataset.name, "parameters": params}
+        result_key = doc["result_key"]
+        result = client.get(f"/api/v1/results/{result_key}").json()
+        mine_s = result["elapsed_seconds"]
+        async_pages = _all_caps_pages(client, result_key)
+        # Drop the cached result so the sync request mines from scratch.
+        assert client.delete(f"/api/v1/results/{result_key}").status == 204
+        sync = client.post(results, json_body={"parameters": params})
+        assert sync.status == 201, sync.json()
+        assert sync.json()["from_cache"] is False
+        assert sync.json()["key"] == result_key
+        assert _all_caps_pages(client, result_key) == async_pages, (
+            "async CAPs must be byte-identical to a sync mine's"
         )
-        assert json.dumps(doc["result"], sort_keys=True) == json.dumps(
-            sync.json(), sort_keys=True
-        ), "async result must be byte-identical to the sync response"
 
         rows = [
             {"metric": "submit -> 202", "ms": round(submit_s * 1000.0, 2)},
-            {"metric": "first GET /jobs/{id}", "ms": round(first_poll_ms, 2)},
+            {"metric": "first GET /api/v1/jobs/{id}", "ms": round(first_poll_ms, 2)},
         ]
         report: dict[str, object] = {
             "benchmark": "bench_async_server",
@@ -110,8 +128,8 @@ def test_async_submit_and_poll_latency():
             "first_poll_ms": first_poll_ms,
             "polls_during_mine": len(status_ms),
         }
-        for name, samples in (("GET /jobs/{id}", status_ms),
-                              ("GET /admin/stats", stats_ms)):
+        for name, samples in (("GET /api/v1/jobs/{id}", status_ms),
+                              ("GET /api/v1/admin/stats", stats_ms)):
             if samples:
                 p50 = statistics.median(samples)
                 worst = max(samples)

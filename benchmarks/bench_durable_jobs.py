@@ -2,13 +2,14 @@
 
 Durability costs per-transition latency: every lifecycle edge of a
 store-backed job reaches the disk (on the WAL engine, one fsync'd record
-append), where the in-memory registry just flips fields under a lock.
-This bench quantifies that trade and the recovery path that justifies it:
+append), where the registry over a path-less database only updates
+in-memory documents under a lock.  This bench quantifies that trade and
+the recovery path that justifies it:
 
 * **transition overhead** — the full open → claim → succeed lifecycle,
-  measured per job, on the in-memory :class:`JobStore` vs the
-  :class:`DurableJobStore` bound to a real store path (the engine-level
-  WAL-vs-snapshot comparison lives in ``bench_wal_store.py``);
+  measured per job, on :class:`DurableJobStore` over an in-memory
+  :class:`Database` vs the same registry bound to a real store path (the
+  engine-level costs live in ``bench_wal_store.py``);
 * **recovery time** — a registry with 100 queued jobs (the backlog a
   killed server leaves behind) re-opened by a fresh process:
   ``Database(path)`` replay + ``recover()``, the work standing between a
@@ -27,7 +28,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.jobs import DurableJobStore, JobStore
+from repro.jobs import DurableJobStore
 from repro.store.database import Database
 
 from .conftest import machine_info, print_table
@@ -60,7 +61,9 @@ def _lifecycle(store, count: int) -> float:
 
 
 def test_durable_transition_overhead_and_recovery(tmp_path):
-    in_memory_s = _lifecycle(JobStore(), JOBS)
+    in_memory_s = _lifecycle(
+        DurableJobStore(Database(), worker_id="bench", lease_seconds=30.0), JOBS
+    )
 
     snapshot = tmp_path / "registry.json"
     durable = DurableJobStore(
@@ -100,7 +103,7 @@ def test_durable_transition_overhead_and_recovery(tmp_path):
     per_in_memory_ms = in_memory_s / JOBS * 1000.0
     per_durable_ms = durable_s / JOBS * 1000.0
     rows = [
-        {"registry": "in-memory JobStore",
+        {"registry": "DurableJobStore (in-memory Database)",
          "lifecycle_ms_per_job": round(per_in_memory_ms, 3)},
         {"registry": "DurableJobStore (WAL-backed)",
          "lifecycle_ms_per_job": round(per_durable_ms, 3)},

@@ -15,20 +15,21 @@ from .conftest import print_table
 
 def run_pipeline(dataset, params_doc) -> dict:
     """One full Figure-2 cycle; returns observability counters."""
-    client = TestClient(create_app())
-    upload = client.upload_dataset(dataset, chunk_lines=10_000)
-    assert upload.status == 201, upload.json()
-    first = client.post(
-        "/mine", json_body={"dataset": dataset.name, "parameters": params_doc}
-    )
-    assert first.status == 200
-    listing = client.get(f"/caps/{dataset.name}")
-    assert listing.status == 200
-    second = client.post(
-        "/mine", json_body={"dataset": dataset.name, "parameters": params_doc}
-    )
-    assert second.status == 200
-    stats = client.get("/admin/stats").json()
+    app = create_app()
+    client = TestClient(app)
+    try:
+        upload = client.upload_dataset(dataset, chunk_lines=10_000)
+        assert upload.status == 201, upload.json()
+        results = f"/api/v1/datasets/{dataset.name}/results"
+        first = client.post(results, json_body={"parameters": params_doc})
+        assert first.status == 201, first.json()
+        listing = client.get(f"/api/v1/results/{first.json()['key']}/caps")
+        assert listing.status == 200
+        second = client.post(results, json_body={"parameters": params_doc})
+        assert second.status == 201, second.json()
+        stats = client.get("/api/v1/admin/stats").json()
+    finally:
+        app.close()
     return {
         "num_caps": first.json()["num_caps"],
         "first_from_cache": first.json()["from_cache"],

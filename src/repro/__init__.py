@@ -56,7 +56,7 @@ from .data import (
     recommended_parameters,
     write_dataset_dir,
 )
-from .jobs import Job, JobQueue, JobStore
+from .jobs import DurableJobStore, Job, JobQueue
 from .server import TestClient, create_app, create_wsgi_app
 from .store import Database
 from .viz import (
@@ -75,10 +75,10 @@ __all__ = [
     "CapReport",
     "DATASET_NAMES",
     "Database",
+    "DurableJobStore",
     "EvolvingSet",
     "Job",
     "JobQueue",
-    "JobStore",
     "LRUPolicy",
     "MiningCancelled",
     "MiningControl",

@@ -11,7 +11,7 @@ Everything the demo's web UI drives is reachable from a terminal:
 * ``compare``   — the Figure-4 before/after diff at a split date;
 * ``serve``     — start the Figure-2 API server (the versioned ``/api/v1``
   resource API plus the deprecated unversioned shims); with ``--store``
-  the job registry is durable: jobs survive restarts and several server
+  the job registry persists: jobs survive restarts and several server
   processes sharing the store claim work through leases;
 * ``jobs``      — inspect (``list``) or recover (``recover``) the durable
   job registry of a store without starting a server;
@@ -197,9 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=8000,
                        help="TCP port (0 = pick a free one; the chosen port "
                             "is announced on the MISCELA_READY line)")
-    p_srv.add_argument("--store", help="store path for persistence; "
-                       "also enables the durable job registry (jobs survive "
-                       "restarts, several processes may share one store)")
+    p_srv.add_argument("--store", help="store path for persistence: "
+                       "datasets, results and jobs survive restarts, and "
+                       "several processes may share one store")
     p_srv.add_argument("--preload", action="store_true",
                        help="pre-upload synthetic santander")
     p_srv.add_argument("--preload-dataset", dest="preload_dataset",
@@ -211,22 +211,23 @@ def build_parser() -> argparse.ArgumentParser:
                        help="async mining executor width (mode=async submissions)")
     p_srv.add_argument("--lease-seconds", dest="lease_seconds", type=float,
                        default=30.0,
-                       help="with --store: how long a claimed job's lease "
-                            "lasts without a progress renewal")
+                       help="how long a claimed job's lease lasts without a "
+                            "progress renewal")
     p_srv.add_argument("--worker-poll", dest="worker_poll", type=float, default=1.0,
                        metavar="SECONDS",
-                       help="with --store: poll interval of the lease worker "
-                            "that claims jobs other processes enqueued "
+                       help="poll interval of the lease worker that claims "
+                            "distributed shards, resident stream jobs and, "
+                            "with --store, jobs other processes enqueued "
                             "(0 disables the worker)")
     p_srv.add_argument("--max-attempts", dest="max_attempts", type=int,
                        default=5, metavar="N",
-                       help="with --store: dead-letter a job (or shard "
+                       help="dead-letter a job (or shard "
                             "sub-job) after it loses its worker N times "
                             "instead of requeueing forever (0 = unlimited, "
                             "default 5)")
     p_srv.add_argument("--worker-id", dest="worker_id",
-                       help="with --store: stable worker identity stamped on "
-                            "claimed jobs (default: pid-derived)")
+                       help="stable worker identity stamped on claimed jobs "
+                            "(default: pid-derived)")
     p_srv.add_argument("--compact-seconds", dest="compact_seconds", type=float,
                        metavar="SECONDS",
                        help="background compaction sweep interval: WAL "
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace",
         help="render the persisted span timeline of one job as an ASCII "
-             "waterfall (durable stores only)",
+             "waterfall, read from a store path",
     )
     p_trace.add_argument("job_id", help="the job to reconstruct")
     p_trace.add_argument("--store", required=True, help="store path")
@@ -384,9 +385,16 @@ def _mine_async(dataset: SensorDataset, params: MiningParameters,
     import time
 
     from .cache.keys import cache_key
-    from .jobs import FAILED, SUCCEEDED, TERMINAL_STATES, JobQueue
+    from .jobs import (
+        FAILED,
+        SUCCEEDED,
+        TERMINAL_STATES,
+        DurableJobStore,
+        JobQueue,
+    )
+    from .store.database import Database
 
-    queue = JobQueue(width=1)
+    queue = JobQueue(DurableJobStore(Database()), width=1)
     miner = MiscelaMiner(params)
     outcome: dict = {}
 
@@ -533,9 +541,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         dataset = generate(preload_name, seed=args.preload_seed)
         response = TestClient(app).upload_dataset(dataset)
         print(f"pre-loaded {preload_name}: {response.status}", flush=True)
-    if app.state.durable_jobs and args.worker_poll > 0:
-        # Multi-process worker mode: this process also claims (and, after
-        # lease expiry, reclaims) jobs any process sharing the store enqueued.
+    if args.worker_poll > 0:
+        # The polling worker claims shard and stream sub-work, and (after
+        # lease expiry) reclaims jobs any process sharing the store enqueued.
         app.state.start_job_worker(interval=args.worker_poll)
     # Threaded server: status polls and map clicks stay responsive while a
     # mine runs (async on the job executor, or sync on a request thread).
@@ -546,12 +554,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"  v1 API:  http://127.0.0.1:{port}/api/v1 "
           f"(schema at /api/v1/schema; unversioned routes are deprecated shims)",
           flush=True)
-    if app.state.durable_jobs:
-        worker = app.state.jobs.store.worker_id
-        poll = f"worker poll {args.worker_poll}s" if args.worker_poll > 0 \
-            else "worker disabled"
-        print(f"  durable jobs: store={args.store} worker_id={worker} "
-              f"lease={args.lease_seconds}s ({poll})", flush=True)
+    worker = app.state.jobs.store.worker_id
+    poll = f"worker poll {args.worker_poll}s" if args.worker_poll > 0 \
+        else "worker disabled"
+    print(f"  jobs: store={args.store or 'in-memory'} worker_id={worker} "
+          f"lease={args.lease_seconds}s ({poll})", flush=True)
     # Machine-readable readiness line: the fault-injection harness (and any
     # supervisor) parses the actual port from it, which makes --port 0 usable.
     print(f"MISCELA_READY port={port}", flush=True)

@@ -1,14 +1,16 @@
-"""Asynchronous mining jobs: queue, store, executor, lifecycle model.
+"""Asynchronous mining jobs: queue, registry, executor, lifecycle model.
 
 The serving tier's answer to long mines (ROADMAP's "async server offload"):
-``POST /mine mode=async`` opens a :class:`Job` here, a background executor
-thread drives the parallel engine, and the interactive endpoints keep
-answering while it runs.  With a path-bound store the registry is
-*durable* (:class:`DurableJobStore`): jobs survive restarts, several
-processes share one registry through lease-based claiming, and a
-:class:`JobWorker` thread lets any process execute jobs any other process
-enqueued.  See ``DESIGN.md`` ("Async job queue", "Durable jobs") for the
-state machine, lease protocol, and recovery rules.
+``POST /api/v1/datasets/{name}/results`` with ``mode=async`` opens a
+:class:`Job` here, a background executor thread drives the parallel
+engine, and the interactive endpoints keep answering while it runs.  One
+registry, :class:`DurableJobStore`, keeps every job as a document of the
+database's ``jobs`` collection.  Over a path-less database it is
+process-local; over a store path jobs survive restarts, several processes
+share the registry through lease-based claiming, and a :class:`JobWorker`
+thread lets any process execute jobs any other process enqueued.  See
+``DESIGN.md`` ("Async job queue", "Durable jobs") for the state machine,
+lease protocol, and recovery rules.
 """
 
 from .durable import DurableJobStore, maybe_fault
@@ -39,7 +41,6 @@ from .planner import (
     plan_mine,
 )
 from .queue import JobQueue
-from .store import JobStore
 from .worker import JobWorker
 
 __all__ = [
@@ -64,7 +65,6 @@ __all__ = [
     "JobExecutor",
     "JobQueue",
     "JobStateError",
-    "JobStore",
     "JobWorker",
     "MinePlan",
     "execute_units",

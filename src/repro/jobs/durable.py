@@ -1,9 +1,10 @@
-"""The durable job registry: store-backed lifecycle + lease-based claiming.
+"""The job registry: store-backed lifecycle + lease-based claiming.
 
-:class:`DurableJobStore` keeps the PR 3 :class:`~repro.jobs.store.JobStore`
-contract — the queued→running→succeeded/failed/cancelled state machine,
-monotone progress, atomic cache-key dedup — but every job lives as a
-document in the ``jobs`` collection of a :class:`~repro.store.Database`.
+:class:`DurableJobStore` owns the queued→running→succeeded/failed/cancelled
+state machine, monotone progress and atomic cache-key dedup, and is the
+only place job state changes.  Every job lives as a document in the
+``jobs`` collection of a :class:`~repro.store.Database` — in memory for a
+path-less database (one process-local registry), in the WAL otherwise.
 The registry rides :meth:`Database.exclusive`: every transition appends
 one checksummed record inside the store's own cross-process critical
 section and is fsync'd before the lock releases, and deletions propagate
@@ -153,11 +154,10 @@ def maybe_fault(name: str) -> None:
 class DurableJobStore:
     """Store-backed registry of async jobs with lease-based claiming.
 
-    Drop-in for :class:`~repro.jobs.store.JobStore` wherever the queue,
-    executor, and handlers are concerned; the additional surface
-    (:meth:`claim_next`, :meth:`reclaim_expired`, :meth:`recover`,
-    :meth:`refresh`) is what multi-process serving and crash recovery
-    build on.
+    The one registry the queue, executor, and handlers run against; its
+    lease surface (:meth:`claim_next`, :meth:`reclaim_expired`,
+    :meth:`recover`, :meth:`refresh`) is what multi-process serving and
+    crash recovery build on.
 
     Parameters
     ----------
@@ -165,7 +165,7 @@ class DurableJobStore:
         The backing store.  With ``database.path`` set, every transition
         is an fsync'd WAL record and cross-process claiming is
         coordinated by the store's lock; without a path the registry is
-        process-local (unit tests) but keeps identical semantics.
+        process-local but keeps identical semantics.
     worker_id:
         Stable identity stamped onto claimed jobs; defaults to a
         pid-derived token unique per store instance.
@@ -174,10 +174,13 @@ class DurableJobStore:
         renew it; pick a small value in tests so orphaned jobs are
         reclaimed quickly.
     terminal_capacity:
-        Retention bound for finished jobs, as in the in-memory store.
-        Evicted *succeeded* jobs leave their ``job_id → result_key``
-        mapping behind (see :meth:`evicted_result_key`) so result
-        ``Location`` links issued this process lifetime keep resolving.
+        Retention bound for finished jobs (queued/running jobs are never
+        evicted: a long-lived server running parameter sweeps must not pin
+        every historical job).  Evicted *succeeded* jobs leave their
+        ``job_id → result_key`` mapping behind (see
+        :meth:`evicted_result_key`) so result ``Location`` links issued
+        this process lifetime keep resolving; that mapping is itself
+        bounded, oldest first, at ``max(1024, 4 * terminal_capacity)``.
         Counted over top-level jobs; a pruned distributed parent takes its
         sub-job documents with it.
     max_attempts:
@@ -232,8 +235,10 @@ class DurableJobStore:
         self._terminal_capacity = terminal_capacity
         self._results_collection = results_collection
         self._lock = threading.RLock()
-        #: job_id -> result_key for evicted succeeded jobs (process lifetime).
+        #: job_id -> result_key for evicted succeeded jobs (process
+        #: lifetime); insertion-ordered and bounded.
         self._evicted_results: dict[str, str] = {}
+        self._evicted_capacity = max(1024, 4 * terminal_capacity)
         #: Trace spans ride the same store (and therefore the same
         #: durability and cross-process visibility) as the jobs they time.
         self.spans = SpanStore(database)
@@ -327,11 +332,14 @@ class DurableJobStore:
     ) -> tuple[Job, bool]:
         """The active job for ``key``, or a new queued one — atomically.
 
-        Same contract as the in-memory store, but the decision is made
-        against the *shared* registry: a job another process opened for the
-        same key dedups here too.  Dedup considers top-level jobs only —
-        shard/merge sub-jobs share their parent's key and never absorb a
-        submission.  ``distributed=True`` marks the new job for shard-level
+        Returns ``(job, created)``; ``created`` is ``False`` when an
+        identical (dataset, parameters) job was already in flight and is
+        being reused.  Finished jobs never dedup: re-submitting after
+        success simply opens a new job (which the cache will satisfy
+        instantly).  The decision is made against the *shared* registry: a
+        job another process opened for the same key dedups here too.
+        Dedup considers top-level jobs only — shard/merge sub-jobs share
+        their parent's key and never absorb a submission.  ``distributed=True`` marks the new job for shard-level
         execution (the planner splits it when a worker claims it);
         ``plan_workers`` fixes the planning width the split uses;
         ``trace_id`` (the request's ``X-Request-Id``) is stamped on the job
@@ -491,7 +499,11 @@ class DurableJobStore:
             return bool(document and document.get("cancel_requested"))
 
     def evicted_result_key(self, job_id: str) -> str | None:
-        """The result key of a succeeded job whose metadata was evicted."""
+        """The result key of a succeeded job whose metadata was evicted.
+
+        ``None`` for unknown ids and for evicted jobs that never produced a
+        result (failed/cancelled evictions keep nothing).
+        """
         with self._lock:
             return self._evicted_results.get(job_id)
 
@@ -1521,6 +1533,8 @@ class DurableJobStore:
             spans.delete_many({"job_id": document["job_id"]})
             self._collection().delete_many({"job_id": document["job_id"]})
             self._collection().delete_many({"parent_id": document["job_id"]})
+        while len(self._evicted_results) > self._evicted_capacity:
+            self._evicted_results.pop(next(iter(self._evicted_results)))
 
     def __len__(self) -> int:
         with self._lock:

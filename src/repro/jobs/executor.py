@@ -34,6 +34,7 @@ from typing import Callable
 
 from ..core.parallel import MiningCancelled, MiningControl
 from ..obs.logging import log_context
+from .durable import DurableJobStore
 from .model import KIND_MINE, QUEUED, Job, JobStateError
 
 __all__ = ["HANDLED", "JobExecutor", "run_job", "run_claimed_job"]
@@ -77,17 +78,18 @@ JobRunner = Callable[[MiningControl], "str | None"]
 EXEC_LOG_ENV = "REPRO_JOBS_EXEC_LOG"
 
 
-def _log_execution(store, job: Job) -> None:
+def _log_execution(store: DurableJobStore, job: Job) -> None:
     path = os.environ.get(EXEC_LOG_ENV)
     if not path:
         return
-    worker = getattr(store, "worker_id", "local")
-    line = f"{job.job_id} {worker} attempt={job.attempt}\n"
+    line = f"{job.job_id} {store.worker_id} attempt={job.attempt}\n"
     with open(path, "a") as handle:  # single short write: O_APPEND-atomic
         handle.write(line)
 
 
-def run_job(store, job_id: str, runner: JobRunner, should_abort=None) -> None:
+def run_job(
+    store: DurableJobStore, job_id: str, runner: JobRunner, should_abort=None
+) -> None:
     """Claim and execute one job end to end, recording its lifecycle."""
     job = store.get(job_id)
     if job is None or job.state != QUEUED:
@@ -102,7 +104,9 @@ def run_job(store, job_id: str, runner: JobRunner, should_abort=None) -> None:
     run_claimed_job(store, claimed, runner, should_abort=should_abort)
 
 
-def run_claimed_job(store, job: Job, runner: JobRunner, should_abort=None) -> None:
+def run_claimed_job(
+    store: DurableJobStore, job: Job, runner: JobRunner, should_abort=None
+) -> None:
     """Execute a job this worker already claimed (holds the lease on).
 
     Every store write carries the claim's ``attempt``, so if the lease
@@ -116,39 +120,30 @@ def run_claimed_job(store, job: Job, runner: JobRunner, should_abort=None) -> No
     back to queued for immediate takeover by a surviving process — rather
     than cancelled.
 
-    Every execution opens a trace span *before* the work starts (when the
-    store has a span store) so a ``kill -9`` mid-run leaves the open span
-    behind as evidence; whoever reclaims the lease marks it
-    ``interrupted``.  The span closes through a CAS, so this thread
-    finishing late cannot overwrite a reclaimer's verdict.
+    Every execution opens a trace span *before* the work starts, so a
+    ``kill -9`` mid-run leaves the open span behind as evidence; whoever
+    reclaims the lease marks it ``interrupted``.  The span closes through
+    a CAS, so this thread finishing late cannot overwrite a reclaimer's
+    verdict.
     """
     _log_execution(store, job)
-    job_id, attempt = job.job_id, job.attempt
-    trace_id = getattr(job, "trace_id", None)
-    spans = getattr(store, "spans", None)
-    sid = None
-    if spans is not None:
-        # A claimed distributed parent is always the planning step — once
-        # planned it stays running lease-less and is never claimed again.
-        name = (
-            "planner"
-            if job.kind == KIND_MINE and getattr(job, "distributed", False)
-            else job.kind
-        )
-        sid = spans.begin(
-            job_id=job_id,
-            attempt=attempt,
-            worker_id=getattr(store, "worker_id", "local"),
-            name=name,
-            kind=job.kind,
-            trace_id=trace_id,
-            parent_job_id=job.parent_id,
-            shard_index=job.shard_index,
-        )
+    job_id, attempt, trace_id = job.job_id, job.attempt, job.trace_id
+    # A claimed distributed parent is always the planning step — once
+    # planned it stays running lease-less and is never claimed again.
+    name = "planner" if job.kind == KIND_MINE and job.distributed else job.kind
+    sid = store.spans.begin(
+        job_id=job_id,
+        attempt=attempt,
+        worker_id=store.worker_id,
+        name=name,
+        kind=job.kind,
+        trace_id=trace_id,
+        parent_job_id=job.parent_id,
+        shard_index=job.shard_index,
+    )
 
     def _close_span(status: str, error: str | None = None) -> None:
-        if spans is not None and sid is not None:
-            spans.finish(sid, status, error=error)
+        store.spans.finish(sid, status, error=error)
 
     def _should_cancel() -> bool:
         if should_abort is not None and should_abort():
@@ -166,12 +161,9 @@ def run_claimed_job(store, job: Job, runner: JobRunner, should_abort=None) -> No
         try:
             result_key = runner(control)
         except MiningCancelled:
-            aborting = should_abort is not None and should_abort()
-            release = getattr(store, "release", None)
-            if aborting and release is not None:
+            if should_abort is not None and should_abort():
                 # release() marks still-open spans "released" itself.
-                release(job_id, attempt)
-                sid = None
+                store.release(job_id, attempt)
             else:
                 _close_span("cancelled")
                 _finish(store.mark_cancelled, job_id, attempt=attempt)
@@ -182,10 +174,8 @@ def run_claimed_job(store, job: Job, runner: JobRunner, should_abort=None) -> No
             _close_span("error", error=f"{type(exc).__name__}: {exc}")
             _finish(store.mark_failed, job_id, exc, attempt=attempt)
         else:
-            if result_key is HANDLED:
-                _close_span("ok")
-            else:
-                _close_span("ok")
+            _close_span("ok")
+            if result_key is not HANDLED:
                 _finish(
                     store.mark_succeeded,
                     job_id,
@@ -231,7 +221,11 @@ class JobExecutor:
         )
 
     def submit(
-        self, store, job_id: str, runner: JobRunner, should_abort=None
+        self,
+        store: DurableJobStore,
+        job_id: str,
+        runner: JobRunner,
+        should_abort=None,
     ) -> Future:
         """Queue one job for execution; returns the underlying future."""
         return self._pool.submit(run_job, store, job_id, runner, should_abort)

@@ -20,8 +20,8 @@ running job's **lease** lapsed (its worker died without finishing).  That
 edge is deliberately not in :data:`_TRANSITIONS` — a live worker can never
 take it; only lease-expiry reclamation can (see ``DurableJobStore.requeue``).
 
-Everything here is plain data; the thread-safety lives in
-:class:`~repro.jobs.store.JobStore` / the durable store.
+Everything here is plain data; the thread-safety lives in the registry,
+:class:`~repro.jobs.durable.DurableJobStore`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The job queue facade: submit, cancel, observe.
 
 :class:`JobQueue` is what the server and CLI talk to — it composes the
-registry (:class:`~repro.jobs.store.JobStore`) with the background executor
-(:class:`~repro.jobs.executor.JobExecutor`) and owns the dedup rule:
+registry (:class:`~repro.jobs.durable.DurableJobStore`) with the
+background executor (:class:`~repro.jobs.executor.JobExecutor`) and owns
+the dedup rule:
 submissions are identified by the *result cache key* of their
 (dataset, parameters) pair, the same canonical hash Section 3.3 caches
 results under, so "identical job already in flight" and "result already
@@ -14,9 +15,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Mapping
 
+from .durable import DurableJobStore
 from .executor import JobExecutor, JobRunner
-from .model import Job, JobStateError
-from .store import JobStore
+from .model import TERMINAL_STATES, Job, JobStateError
 
 __all__ = ["JobQueue"]
 
@@ -24,18 +25,18 @@ __all__ = ["JobQueue"]
 class JobQueue:
     """Asynchronous mining jobs: dedup'd submission over a thread pool.
 
-    ``store`` may be the in-memory :class:`JobStore` (default) or a
-    :class:`~repro.jobs.durable.DurableJobStore` — the queue only speaks
-    the registry contract they share.
+    ``store`` is the job registry; over a path-less :class:`Database` it
+    is process-local, over a store path it is shared with every process
+    opening the same path.
     """
 
     def __init__(
         self,
-        store: "JobStore | Any | None" = None,
+        store: DurableJobStore,
         executor: JobExecutor | None = None,
         width: int = 2,
     ) -> None:
-        self.store = store if store is not None else JobStore()
+        self.store = store
         self.executor = executor if executor is not None else JobExecutor(width)
         self._stopping = threading.Event()
 
@@ -85,16 +86,15 @@ class JobQueue:
         return self.store.list(status)
 
     def children(self, parent_id: str) -> list[Job]:
-        """A distributed parent's sub-jobs ([] on stores without sub-jobs)."""
-        children = getattr(self.store, "children", None)
-        return children(parent_id) if children is not None else []
+        """A distributed parent's sub-jobs: shards (by index), then merge."""
+        return self.store.children(parent_id)
 
     def evicted_result_key(self, job_id: str) -> str | None:
         """Result key left behind by an evicted succeeded job, if any."""
         return self.store.evicted_result_key(job_id)
 
-    def counters(self) -> dict[str, int]:
-        counts: dict[str, Any] = self.store.counters()
+    def counters(self) -> dict[str, Any]:
+        counts = self.store.counters()
         counts["executor_width"] = self.executor.width
         return counts
 
@@ -111,10 +111,8 @@ class JobQueue:
         claims (CAS back to queued) for immediate takeover; jobs this
         process never claimed are simply left for the fleet.
         """
-        from .model import TERMINAL_STATES
-
         self._stopping.set()
-        if not getattr(self.store, "shared", False):
+        if not self.store.shared:
             for job in self.store.list():
                 if job.state not in TERMINAL_STATES:
                     try:

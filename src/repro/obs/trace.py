@@ -1,7 +1,7 @@
 """Trace reassembly: the JSON span tree and the ASCII waterfall.
 
 Both consumers read the same persisted artifacts: job documents from the
-durable registry and span documents from the ``spans`` collection.
+job registry and span documents from the ``spans`` collection.
 ``GET /api/v1/jobs/{id}/trace`` serves :func:`trace_tree` verbatim;
 ``repro trace <job_id>`` renders it through :func:`render_waterfall`.
 
@@ -33,8 +33,9 @@ _STATUS_GLYPH = {
 def trace_tree(store: Any, job_id: str) -> dict[str, Any]:
     """The span tree of one job (and its shard/merge sub-jobs).
 
-    ``store`` is a :class:`~repro.jobs.durable.DurableJobStore` (anything
-    with ``get``/``children`` and a ``spans`` :class:`SpanStore`).
+    ``store`` is the job registry,
+    :class:`~repro.jobs.durable.DurableJobStore` (only its
+    ``get``/``children`` and its ``spans`` :class:`SpanStore` are read).
     Raises ``KeyError`` for an unknown job.
     """
     job = store.get(job_id)
@@ -42,7 +43,7 @@ def trace_tree(store: Any, job_id: str) -> dict[str, Any]:
         raise KeyError(job_id)
     spans = store.spans.for_job(job_id)
     tree = _node(job, spans)
-    if getattr(job, "distributed", False):
+    if job.distributed:
         for child in store.children(job_id):
             tree["children"].append(_node(child, store.spans.for_job(child.job_id)))
         tree["children"].sort(
@@ -57,14 +58,14 @@ def trace_tree(store: Any, job_id: str) -> dict[str, Any]:
 def _node(job: Any, spans: list[dict[str, Any]]) -> dict[str, Any]:
     return {
         "job_id": job.job_id,
-        "trace_id": getattr(job, "trace_id", None),
+        "trace_id": job.trace_id,
         "kind": job.kind,
         "shard_index": job.shard_index,
         "state": job.state,
         "attempt": job.attempt,
         "worker_id": job.worker_id,
-        "elapsed_seconds": getattr(job, "elapsed_seconds", None),
-        "timings": getattr(job, "timings", None),
+        "elapsed_seconds": job.elapsed_seconds,
+        "timings": job.timings,
         "spans": [public_view(span) for span in spans],
         "children": [],
     }

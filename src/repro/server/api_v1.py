@@ -505,8 +505,6 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
                    "observation batches into the CAP change feed)",
             "400": "bad body/parameters/mode",
             "404": "unknown dataset",
-            "409": "mode=distributed or mode=streaming without a durable "
-                   "job registry",
         },
     )
     def v1_create_result(request: Request) -> Response:
@@ -991,8 +989,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         removed = state.database.collection(ALERT_RULES).delete_many(query)
         if not removed:
             raise HTTPError(404, f"unknown rule {rule_id!r}", code="unknown_rule")
-        if state.durable_jobs:
-            state.jobs.store.persist_removal(ALERT_RULES, query)
+        state.jobs.store.persist_removal(ALERT_RULES, query)
         return Response(status=204)
 
     @router.get(
@@ -1049,7 +1046,7 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
         "/api/v1/jobs/{job_id}",
         responses={"200": "job resource (links to the result once succeeded; "
                           "worker_id/lease_expires_at/attempt expose the "
-                          "durable registry's lease state; a distributed "
+                          "registry's lease state; a distributed "
                           "parent inlines its shard tree — per-shard states, "
                           "attempts, and workers plus the merge step)",
                    "301": "metadata evicted; Location points at the result",
@@ -1078,27 +1075,17 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
                           "worker, start/end) for the job and, on a "
                           "distributed parent, every shard and merge "
                           "sub-job, plus measured shard wall-times",
-                   "404": "unknown job",
-                   "409": "job registry is not durable (no persisted spans)"},
+                   "404": "unknown job"},
     )
     def v1_job_trace(request: Request) -> Response:
         """The persisted trace of one job as a JSON span tree.
 
         The same tree ``repro trace <job_id>`` renders as an ASCII
-        waterfall.  Requires the durable registry — spans live in the
-        store's ``spans`` collection.
+        waterfall; spans live in the store's ``spans`` collection.
         """
         job_id = request.path_params["job_id"]
-        store = getattr(state.jobs, "store", None)
-        if store is None or getattr(store, "spans", None) is None:
-            raise HTTPError(
-                409,
-                "tracing requires the durable job registry "
-                "(start the server on a store path)",
-                code="not_durable",
-            )
         try:
-            tree = trace_tree(store, job_id)
+            tree = trace_tree(state.jobs.store, job_id)
         except KeyError as exc:
             raise HTTPError(404, f"unknown job {job_id!r}", code="unknown_job") from exc
         return json_response(tree)
@@ -1160,9 +1147,9 @@ def register_v1_routes(router: Any, state: ServerState) -> None:
 
     @router.get(
         "/api/v1/admin/stats",
-        responses={"200": "store/cache/job counters (durable registries add "
-                          "per-lease health: active vs expired, a per-kind "
-                          "job breakdown, and the dead-lettered job count)"},
+        responses={"200": "store/cache/job counters, with per-lease health "
+                          "(active vs expired), a per-kind job breakdown, "
+                          "and the dead-lettered job count"},
     )
     def v1_admin_stats(request: Request) -> Response:
         """Store, cache, and job-queue counters."""

@@ -65,9 +65,8 @@ class App:
         because shutdown cancels running jobs first and they abort at their
         next checkpoint.  Required before ``Database.save``: a snapshot
         taken while a worker is still writing a result would iterate a
-        mutating collection.  With the durable registry, queued jobs
-        survive anyway — whichever process next recovers the store picks
-        them up.
+        mutating collection.  On a store path, queued jobs survive anyway —
+        whichever process next recovers the store picks them up.
 
         Order matters: the polling worker is *signalled* first but only
         joined after ``jobs.shutdown`` has swept cancellation over running
@@ -92,7 +91,6 @@ def create_app(
     body_limit: int = DEFAULT_BODY_LIMIT,
     with_logging: bool = False,
     job_workers: int = 2,
-    durable_jobs: bool | None = None,
     worker_id: str | None = None,
     lease_seconds: float = 30.0,
     max_attempts: int = 5,
@@ -105,7 +103,12 @@ def create_app(
     ----------
     database:
         Backing store; pass a :class:`Database` opened on a store path
-        for persistence across restarts.  Defaults to in-memory.
+        for persistence across restarts.  Defaults to in-memory.  The job
+        registry (:class:`repro.jobs.DurableJobStore`) lives in its
+        ``jobs`` collection: process-local without a path, shared through
+        lease-based claiming with every process opening the same path.
+        Startup recovery runs here: interrupted jobs are requeued and
+        rescheduled before the first request is served.
     body_limit:
         Maximum request body size (enforces the chunked-upload protocol).
     with_logging:
@@ -115,17 +118,11 @@ def create_app(
         /api/v1/datasets/{name}/results`` with ``mode=async``).  Each
         worker is a *driver* thread — the mining itself may fan out
         further through ``MiningParameters.n_jobs``.
-    durable_jobs:
-        ``True`` persists the job registry in the database's ``jobs``
-        collection with lease-based multi-process claiming; ``None``
-        (default) enables it exactly when the database is bound to a
-        store path.  Startup recovery runs here: interrupted jobs are
-        requeued and rescheduled before the first request is served.
     worker_id, lease_seconds:
-        Durable-registry identity and claim lifetime (see
+        Registry identity and claim lifetime (see
         :class:`repro.jobs.DurableJobStore`).
     max_attempts:
-        Durable-registry dead-letter bound: a job (or shard sub-job) that
+        Registry dead-letter bound: a job (or shard sub-job) that
         loses its worker on this many attempts fails with a structured
         ``AttemptsExhausted`` error instead of requeueing forever
         (``0`` disables the bound).
@@ -145,7 +142,6 @@ def create_app(
     state = ServerState(
         database,
         job_workers=job_workers,
-        durable_jobs=durable_jobs,
         worker_id=worker_id,
         lease_seconds=lease_seconds,
         max_attempts=max_attempts,

@@ -103,21 +103,22 @@ class ServerState:
     Mining itself never holds the lock — only the bookkeeping around it
     does.
 
-    When the backing database is bound to a store path, the job
-    registry is the **durable** one by default: jobs live in the ``jobs``
-    collection, every transition persists, and any number of server
-    processes sharing the store claim work through leases (pass
-    ``durable_jobs=False`` to opt out).  ``recover_jobs`` (called by
+    The job registry is a :class:`~repro.jobs.DurableJobStore` over the
+    backing database: jobs live in its ``jobs`` collection.  Without a
+    store path that registry is process-local; with one, every transition
+    persists and any number of server processes sharing the store claim
+    work through leases.  ``recover_jobs`` (called by
     :func:`repro.server.app.create_app`) requeues interrupted work on
     startup, and :meth:`start_job_worker` turns this process into a
-    polling worker for jobs other processes enqueued.
+    polling worker — the one that claims distributed shards and re-claims
+    resident stream jobs, and on a shared store also runs jobs other
+    processes enqueued.
     """
 
     def __init__(
         self,
         database: Database | None = None,
         job_workers: int = 2,
-        durable_jobs: bool | None = None,
         worker_id: str | None = None,
         lease_seconds: float = 30.0,
         max_attempts: int = 5,
@@ -157,19 +158,13 @@ class ServerState:
         self.stream_idle_seconds = 0.5
         self.stream_poll_seconds = 0.25
         self.lock = threading.RLock()
-        if durable_jobs is None:
-            durable_jobs = self.database.path is not None
-        self.durable_jobs = durable_jobs
-        if durable_jobs:
-            store = DurableJobStore(
-                self.database,
-                worker_id=worker_id,
-                lease_seconds=lease_seconds,
-                max_attempts=max_attempts,
-            )
-            self.jobs = JobQueue(store=store, width=job_workers)
-        else:
-            self.jobs = JobQueue(width=job_workers)
+        store = DurableJobStore(
+            self.database,
+            worker_id=worker_id,
+            lease_seconds=lease_seconds,
+            max_attempts=max_attempts,
+        )
+        self.jobs = JobQueue(store, width=job_workers)
         self._worker: JobWorker | None = None
         self._pending: dict[str, ChunkAssembler] = {}
         self._pending_meta: dict[str, tuple[list, list]] = {}
@@ -268,8 +263,9 @@ class ServerState:
             if name in self._loaded:
                 return self._loaded[name]
         document = self.database[_DATASETS].find_one({"name": name})
-        if document is None and self._refresh_shared():
+        if document is None:
             # Another process sharing the store may have uploaded it.
+            self._refresh_shared()
             document = self.database[_DATASETS].find_one({"name": name})
         if document is None:
             raise HTTPError(404, f"unknown dataset {name!r}", code="unknown_dataset")
@@ -278,12 +274,9 @@ class ServerState:
             self._loaded[name] = dataset
         return dataset
 
-    def _refresh_shared(self) -> bool:
-        """Adopt changes other processes persisted; False when not durable."""
-        if not self.durable_jobs:
-            return False
+    def _refresh_shared(self) -> None:
+        """Adopt changes other processes persisted (no-op without a path)."""
         self.jobs.store.refresh()
-        return True
 
     def put_dataset(self, dataset: SensorDataset) -> None:
         with self.lock:
@@ -297,10 +290,9 @@ class ServerState:
         self._bump_generation(dataset.name)
         self._cancel_dataset_jobs(dataset.name)
         self._purge_stream(dataset.name)
-        if self.durable_jobs:
-            # Re-sweep after the generation bump: a result published since
-            # the drop above passed its currency check on the old data.
-            self.jobs.store.persist_removal(_RESULTS, {"payload.dataset": dataset.name})
+        # Re-sweep after the generation bump: a result published since the
+        # drop above passed its currency check on the old data.
+        self.jobs.store.persist_removal(_RESULTS, {"payload.dataset": dataset.name})
 
     def delete_dataset(self, name: str) -> bool:
         """Delete a dataset; only an *actual* delete invalidates anything.
@@ -318,19 +310,16 @@ class ServerState:
         self._bump_generation(name)
         self._cancel_dataset_jobs(name)
         self._purge_stream(name)
-        if self.durable_jobs:
-            # Re-sweep after the generation bump: a result published since
-            # the delete above passed its currency check on the old data.
-            self.jobs.store.persist_removal(_DATASETS, {"name": name})
-            self.jobs.store.persist_removal(_RESULTS, {"payload.dataset": name})
+        # Re-sweep after the generation bump: a result published since the
+        # delete above passed its currency check on the old data.
+        self.jobs.store.persist_removal(_DATASETS, {"name": name})
+        self.jobs.store.persist_removal(_RESULTS, {"payload.dataset": name})
         return True
 
     def _cancel_dataset_jobs(self, dataset_name: str) -> None:
         """In-flight jobs for a replaced/deleted dataset are obsolete."""
-        jobs = self.jobs.list()
-        if self.durable_jobs:
-            # Resident stream jobs are not in the default (mine) listing.
-            jobs += self.jobs.store.list(kind=KIND_STREAM)
+        # Resident stream jobs are not in the default (mine) listing.
+        jobs = self.jobs.list() + self.jobs.store.list(kind=KIND_STREAM)
         for job in jobs:
             if job.dataset == dataset_name and job.state not in TERMINAL_STATES:
                 try:
@@ -358,10 +347,9 @@ class ServerState:
         }
         for collection, query in queries.items():
             self.database.collection(collection).delete_many(query)
-            if self.durable_jobs:
-                # Sweep again under the job registry's lock: a stream job
-                # cancelled above may have committed an epoch since.
-                self.jobs.store.persist_removal(collection, query)
+            # Sweep again under the job registry's lock: a stream job
+            # cancelled above may have committed an epoch since.
+            self.jobs.store.persist_removal(collection, query)
 
     def _bump_generation(self, name: str) -> None:
         """Advance a dataset's generation in the shared store.
@@ -384,9 +372,9 @@ class ServerState:
     def dataset_generation(self, name: str) -> int:
         """The current generation of ``name`` (0 until first upload).
 
-        Reads through the shared store — with a peer-visible refresh when
-        durable — so a runner's mid-mine currency check observes a
-        re-upload that happened in another process.
+        Reads through the shared store — with a peer-visible refresh — so
+        a runner's mid-mine currency check observes a re-upload that
+        happened in another process.
         """
         self._refresh_shared()
         document = self.database.collection(_GENERATIONS).find_one({"name": name})
@@ -397,8 +385,9 @@ class ServerState:
     def get_result_document(self, key: str) -> Mapping[str, Any]:
         """The stored ``cap_results`` document for one key; 404 when absent."""
         document = self.database[_RESULTS].find_one({"key": key})
-        if document is None and self._refresh_shared():
+        if document is None:
             # A worker in another process may have published it.
+            self._refresh_shared()
             document = self.database[_RESULTS].find_one({"key": key})
         if document is None:
             raise HTTPError(404, f"unknown result {key!r}", code="unknown_result")
@@ -407,10 +396,9 @@ class ServerState:
     def forget_result(self, key: str) -> None:
         """Drop one stored result."""
         self.cache.delete_key(key)
-        if self.durable_jobs:
-            # Sweep again under the job registry's lock: a peer may have
-            # republished the key since the delete above.
-            self.jobs.store.persist_removal(_RESULTS, {"key": key})
+        # Sweep again under the job registry's lock: a peer may have
+        # republished the key since the delete above.
+        self.jobs.store.persist_removal(_RESULTS, {"key": key})
 
     # -- async mining jobs ------------------------------------------------------
 
@@ -439,20 +427,13 @@ class ServerState:
         if a re-upload slipped between check and put.  Either way the job
         ends ``cancelled``, never serving superseded data.
 
-        ``distributed=True`` (durable registry only) submits the job as a
-        distributed *parent*: the scheduled runner is the planner, which
-        splits the mine into shard sub-jobs + a merge sub-job that any
-        process's polling worker can claim under its own lease.
+        ``distributed=True`` submits the job as a distributed *parent*: the
+        scheduled runner is the planner, which splits the mine into shard
+        sub-jobs + a merge sub-job that any process's polling worker can
+        claim under its own lease.
         """
         key = cache_key(dataset.name, params)
         if distributed:
-            if not self.durable_jobs:
-                raise HTTPError(
-                    409,
-                    "distributed mining requires the durable job registry "
-                    "(run the server with --store)",
-                    code="not_durable",
-                )
             job, created = self.jobs.store.open_job(
                 dataset.name,
                 params.to_document(),
@@ -484,17 +465,10 @@ class ServerState:
         drains observation batches as they are appended, re-mining
         incrementally and publishing CAP deltas to the change feed (see
         :mod:`repro.stream`).  One per dataset — resubmission dedups onto
-        the live job.  Durable registry only: residency is implemented as
-        lease-claim/release cycles, and recovery replays the WAL-backed
-        observation log.
+        the live job.  Residency is implemented as lease-claim/release
+        cycles driven by the polling worker (:meth:`start_job_worker`), and
+        on a store path recovery replays the WAL-backed observation log.
         """
-        if not self.durable_jobs:
-            raise HTTPError(
-                409,
-                "streaming mining requires the durable job registry "
-                "(run the server with --store)",
-                code="not_durable",
-            )
         if params.segmentation != "none":
             raise HTTPError(
                 400,
@@ -554,7 +528,7 @@ class ServerState:
                 sid = store.spans.begin(
                     job_id=alert["alert_id"],
                     attempt=attempt,
-                    worker_id=store.worker_id or "local",
+                    worker_id=store.worker_id,
                     name=f"alert:{alert['rule_id']}",
                     kind="alert",
                     trace_id=job.trace_id,
@@ -796,7 +770,7 @@ class ServerState:
         return self._mine_runner(dataset, params, job.key)
 
     def recover_jobs(self) -> dict[str, list[str]]:
-        """Startup recovery against the durable registry (no-op otherwise).
+        """Startup recovery against the job registry.
 
         Requeues interrupted ``running`` jobs whose lease lapsed,
         republishes ``succeeded`` ones from their stored result keys, and
@@ -804,8 +778,6 @@ class ServerState:
         work accepted by a dead process still completes — even with the
         polling worker disabled.
         """
-        if not self.durable_jobs:
-            return {}
         summary = self.jobs.store.recover()
         queued = self.jobs.list(QUEUED)
         # Resident stream jobs are top-level too, but live outside the
@@ -834,9 +806,7 @@ class ServerState:
         return runner
 
     def start_job_worker(self, interval: float = 1.0) -> JobWorker:
-        """Run a lease-polling worker thread against the durable registry."""
-        if not self.durable_jobs:
-            raise ValueError("the job worker requires the durable job registry")
+        """Run a lease-polling worker thread against the job registry."""
         if self._worker is not None and self._worker.is_alive():
             return self._worker
         self._worker = JobWorker(

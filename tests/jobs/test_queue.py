@@ -13,8 +13,10 @@ from repro.jobs import (
     FAILED,
     SUCCEEDED,
     TERMINAL_STATES,
+    DurableJobStore,
     JobQueue,
 )
+from repro.store.database import Database
 
 KEY = "f" * 64
 PARAMS = {"min_support": 5}
@@ -35,9 +37,13 @@ def wait_terminal(queue: JobQueue, job_id: str):
     return queue.get(job_id)
 
 
+def make_queue() -> JobQueue:
+    return JobQueue(DurableJobStore(Database(), clock=time.time), width=1)
+
+
 @pytest.fixture
 def queue():
-    q = JobQueue(width=1)
+    q = make_queue()
     yield q
     q.shutdown(wait=True)
 
@@ -165,7 +171,7 @@ class TestShutdown:
     def test_shutdown_cancels_running_jobs(self):
         """Ctrl-C must not wait out an in-flight mine: shutdown requests
         cancellation, the runner aborts at its next checkpoint."""
-        queue = JobQueue(width=1)
+        queue = make_queue()
         started = threading.Event()
 
         def runner(control: MiningControl) -> str:

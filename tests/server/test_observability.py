@@ -9,9 +9,10 @@ Covers the end-to-end telemetry contract from the outside in:
   ``/api/v1/admin/stats`` folds the same registry in as a summary;
 * slow-request / slow-shard warnings fire only when their env knobs are
   set (default off — benchmarks must not pay for them);
-* ``GET /api/v1/jobs/{id}/trace`` serves the persisted span tree on a
-  durable store, 409s on the in-memory registry, and stamps the request's
-  id onto submitted jobs as their trace id.
+* ``GET /api/v1/jobs/{id}/trace`` serves the persisted span tree — on a
+  store path and without one, where distributed and streaming jobs run on
+  the same registry — and stamps the request's id onto submitted jobs as
+  their trace id.
 """
 
 from __future__ import annotations
@@ -173,10 +174,11 @@ class TestSlowWarnings:
         assert "/api/v1/schema" in record.message
 
     def test_slow_shard_warning_fires_past_threshold(self, caplog, monkeypatch):
+        from repro.jobs import DurableJobStore
         from repro.jobs.executor import run_claimed_job
-        from repro.jobs.store import JobStore
+        from repro.store.database import Database
 
-        store = JobStore()
+        store = DurableJobStore(Database(), clock=time.time)
         job, _ = store.open_job("d", {}, "key-1", trace_id="t1")
         claimed = store.mark_running(job.job_id)
         monkeypatch.setenv("REPRO_SLOW_SHARD_S", "0.000001")
@@ -187,11 +189,12 @@ class TestSlowWarnings:
         assert store.get(job.job_id).state == "succeeded"
 
     def test_slow_shard_warning_is_off_by_default(self, caplog, monkeypatch):
+        from repro.jobs import DurableJobStore
         from repro.jobs.executor import run_claimed_job
-        from repro.jobs.store import JobStore
+        from repro.store.database import Database
 
         monkeypatch.delenv("REPRO_SLOW_SHARD_S", raising=False)
-        store = JobStore()
+        store = DurableJobStore(Database(), clock=time.time)
         job, _ = store.open_job("d", {}, "key-1")
         claimed = store.mark_running(job.job_id)
         with caplog.at_level(logging.WARNING, logger="repro.jobs"):
@@ -202,11 +205,93 @@ class TestSlowWarnings:
 # -- the trace endpoint -----------------------------------------------------------
 
 
+def concatenated_caps_pages(client, key: str, limit: int = 50) -> bytes:
+    """Every CAP page of one result, fetched in order and joined."""
+    body, offset = b"", 0
+    while True:
+        page = client.get(f"/api/v1/results/{key}/caps?offset={offset}&limit={limit}")
+        assert page.status == 200, page.json()
+        body += page.body
+        offset += limit
+        if offset >= page.json()["total"]:
+            return body
+
+
+def poll_events(client, name: str, expect: int, timeout: float = TIMEOUT) -> list:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        page = client.get(f"/api/v1/datasets/{name}/events?cursor=0&wait=1")
+        assert page.status == 200, page.json()
+        if len(page.json()["events"]) >= expect:
+            return page.json()["events"]
+    raise AssertionError(f"feed of {name!r} never showed {expect} event(s)")
+
+
 class TestTraceEndpoint:
-    def test_in_memory_registry_answers_409(self, client):
-        response = client.get("/api/v1/jobs/job-0001-deadbeef/trace")
-        assert response.status == 409
-        assert response.json()["error"]["code"] == "not_durable"
+    def test_pathless_server_runs_distributed_traced_and_streaming_jobs(
+        self, dataset, tiny_dataset
+    ):
+        """Without a store path the one registry still serves every mode."""
+        from tests.stream.test_stream_e2e import PARAMS as STREAM_PARAMS
+        from tests.stream.test_stream_e2e import BatchFeeder
+
+        reference_app = create_app(job_workers=1)
+        app = create_app(job_workers=1)
+        app.state.stream_idle_seconds = 0.1
+        app.state.start_job_worker(interval=0.05)
+        try:
+            reference = TestClient(reference_app)
+            assert reference.upload_dataset(dataset, chunk_lines=1000).status == 201
+            sync = reference.post(
+                f"/api/v1/datasets/{dataset.name}/results",
+                json_body={"parameters": PARAMS},
+            )
+            assert sync.status == 201, sync.json()
+
+            client = TestClient(app)
+            assert client.upload_dataset(dataset, chunk_lines=1000).status == 201
+            submitted = client.post(
+                f"/api/v1/datasets/{dataset.name}/results",
+                json_body={"parameters": PARAMS, "mode": "distributed",
+                           "plan_workers": 2},
+            )
+            assert submitted.status == 202, submitted.json()
+            job_id = submitted.json()["job_id"]
+            final = poll_until_terminal(client, job_id)
+            assert final["state"] == "succeeded", final
+            assert final["shards"] and final["merge"]["state"] == "succeeded"
+            key = final["result_key"]
+            assert key == sync.json()["key"]
+            assert concatenated_caps_pages(client, key) == concatenated_caps_pages(
+                reference, key
+            )
+
+            trace = client.get(f"/api/v1/jobs/{job_id}/trace")
+            assert trace.status == 200, trace.json()
+            tree = trace.json()
+            assert tree["job_id"] == job_id
+            assert [span["name"] for span in tree["spans"]] == ["planner"]
+            assert len(tree["children"]) == len(final["shards"]) + 1
+            for child in tree["children"]:
+                assert [span["status"] for span in child["spans"]] == ["ok"]
+
+            assert client.upload_dataset(tiny_dataset).status == 201
+            stream = client.post(
+                "/api/v1/datasets/tiny/results",
+                json_body={"parameters": STREAM_PARAMS, "mode": "streaming"},
+            )
+            assert stream.status == 202, stream.json()
+            assert stream.json()["kind"] == "stream"
+            batch = BatchFeeder(tiny_dataset).batch({"a", "b"})
+            appended = client.post("/api/v1/datasets/tiny/observations",
+                                   json_body=batch)
+            assert appended.status == 202, appended.json()
+            (event,) = poll_events(client, "tiny", expect=1)
+            assert event["epoch"] == 1 and event["type"] == "extended"
+            assert event["cap"]["sensors"] == ["a", "b"]
+        finally:
+            app.close(wait=True)
+            reference_app.close()
 
     def test_unknown_job_answers_404(self, durable_client):
         response = durable_client.get("/api/v1/jobs/no-such-job/trace")

@@ -59,40 +59,42 @@ class TestServerScenario:
         assert client.upload_dataset(dataset).status == 201
 
         # 2. First parameter setting.
-        r1 = client.post("/mine", json_body={
-            "dataset": dataset.name, "parameters": params.to_document(),
-        })
-        assert r1.status == 200 and r1.json()["num_caps"] > 0
+        results = f"/api/v1/datasets/{dataset.name}/results"
+        r1 = client.post(results, json_body={"parameters": params.to_document()})
+        assert r1.status == 201 and r1.json()["num_caps"] > 0
+        caps1 = client.get(f"/api/v1/results/{r1.json()['key']}/caps?limit=1000")
+        assert caps1.status == 200
 
         # 3. "Users can easily change parameters": a looser ψ.
         loose = params.with_updates(min_support=5)
-        r2 = client.post("/mine", json_body={
-            "dataset": dataset.name, "parameters": loose.to_document(),
-        })
+        r2 = client.post(results, json_body={"parameters": loose.to_document()})
+        assert r2.status == 201
         assert r2.json()["num_caps"] >= r1.json()["num_caps"]
 
         # 4. Repeating the first setting is served from cache.
-        r3 = client.post("/mine", json_body={
-            "dataset": dataset.name, "parameters": params.to_document(),
-        })
-        assert r3.json()["from_cache"]
-        assert r3.json()["caps"] == r1.json()["caps"]
+        r3 = client.post(results, json_body={"parameters": params.to_document()})
+        assert r3.status == 201 and r3.json()["from_cache"]
+        caps3 = client.get(f"/api/v1/results/{r3.json()['key']}/caps?limit=1000")
+        assert caps3.body == caps1.body
 
         # 5. Click a sensor, get its correlated sensors, view both charts.
-        probe = r1.json()["caps"][0]["sensors"][0]
-        corr = client.get(f"/caps/{dataset.name}/sensors/{probe}")
+        probe = caps1.json()["caps"][0]["sensors"][0]
+        views = f"/api/v1/datasets/{dataset.name}"
+        corr = client.get(f"{views}/sensors/{probe}/correlated")
         partners = list(corr.json()["correlated"])
         assert partners
+        svg = {"Accept": "image/svg+xml"}
         chart = client.get(
-            f"/viz/{dataset.name}/timeseries?sensors={probe},{partners[0]}"
+            f"{views}/viz/timeseries?sensors={probe},{partners[0]}", headers=svg
         )
         assert chart.status == 200 and b"<svg" in chart.body
-        highlighted_map = client.get(f"/viz/{dataset.name}/map?highlight={probe}")
-        assert highlighted_map.status == 200
+        assert chart.headers["Content-Type"].startswith("image/svg+xml")
+        highlighted_map = client.get(f"{views}/viz/map?highlight={probe}", headers=svg)
+        assert highlighted_map.status == 200 and b"<svg" in highlighted_map.body
 
         # 6. Both cached settings are listed.
-        listing = client.get(f"/caps/{dataset.name}").json()
-        assert len(listing["cached_results"]) == 2
+        listing = client.get(results).json()
+        assert len(listing["results"]) == 2
 
 
 class TestCovidScenarioEndToEnd:
