@@ -1,4 +1,4 @@
-"""WAL store engine — per-transition overhead collapse and compaction cost.
+"""WAL store engine — per-transition overhead, compaction cost, checksum speed.
 
 The ISSUE-6 claim in numbers: PR 5's durability rode snapshot-per-write —
 every persisted transition re-serialized the *whole* database (7–11 ms per
@@ -13,19 +13,26 @@ transition costs the record — not the world:
   mutation (PR 5's snapshot-per-write durable semantics);
 * **compaction cost vs log length** — ``compact_collection`` on logs of
   growing record counts: the price of folding history back to live state,
-  and the bytes it reclaims.
+  and the bytes it reclaims;
+* **checksum throughput** — MB/s of the record checksum ``crc32c`` against
+  its byte-table loop at 1 KB / 64 KB / 1 MB payloads.  Result documents
+  run to megabytes, and every append and every reopen checksums them.
 
 Numbers land in ``BENCH_wal_store.json`` (CI's bench lane uploads it).
-The acceptance bar is explicit: WAL per-transition cost must undercut
-snapshot-per-write's by ≥10x, or the engine rewrite bought nothing.
+The acceptance bars are explicit: WAL per-transition cost must undercut
+snapshot-per-write's by ≥10x, or the engine rewrite bought nothing; and
+``crc32c`` must run ≥5x its byte loop at 1 MB, or the striped kernel
+bought nothing.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
+from repro.store import wal
 from repro.store.database import Database
 
 from .conftest import machine_info, print_table
@@ -40,6 +47,10 @@ COMPACTION_LOG_LENGTHS = (200, 800, 3200)
 
 #: The engine rewrite's reason to exist (ISSUE-6 acceptance criterion).
 MIN_COLLAPSE_X = 10.0
+
+CHECKSUM_SIZES = (1 << 10, 1 << 16, 1 << 20)
+#: The striped checksum kernel's reason to exist, at the largest size.
+MIN_CHECKSUM_SPEEDUP_X = 5.0
 
 
 def _preload(database: Database):
@@ -65,6 +76,40 @@ def _transition_ms(jobs, save=None) -> float:
         if save is not None:
             save()
     return (time.perf_counter() - start) / TRANSITIONS * 1000.0
+
+
+def _byte_loop(payload: bytes) -> int:
+    return wal._crc32c_bytewise(payload, 0xFFFFFFFF) ^ 0xFFFFFFFF
+
+
+def _mb_per_s(checksums, payload: bytes) -> list[float]:
+    """Throughput of each checksum, best of five rounds.  The rounds
+    alternate between the checksums, so drift in the host's pace
+    reaches all of them alike."""
+    repeats = max(1, (8 << 20) // len(payload) // 64)
+    best = [float("inf")] * len(checksums)
+    for _ in range(5):
+        for slot, checksum in enumerate(checksums):
+            start = time.perf_counter()
+            for _ in range(repeats):
+                checksum(payload)
+            best[slot] = min(best[slot], (time.perf_counter() - start) / repeats)
+    return [len(payload) / seconds / 1e6 for seconds in best]
+
+
+def _checksum_rows() -> list[dict]:
+    rows = []
+    for size in CHECKSUM_SIZES:
+        payload = os.urandom(size)
+        assert wal.crc32c(payload) == _byte_loop(payload)
+        kernel, scalar = _mb_per_s((wal.crc32c, _byte_loop), payload)
+        rows.append({
+            "payload_bytes": size,
+            "crc32c_mb_per_s": round(kernel, 2),
+            "byte_loop_mb_per_s": round(scalar, 2),
+            "speedup_x": round(kernel / scalar, 2),
+        })
+    return rows
 
 
 def test_wal_transition_collapse_and_compaction(tmp_path):
@@ -123,10 +168,15 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
         })
     print_table("compaction cost vs log length", compaction_rows)
 
+    # -- checksum throughput --------------------------------------------------
+    checksum_rows = _checksum_rows()
+    print_table("record checksum throughput", checksum_rows)
+    assert checksum_rows[-1]["speedup_x"] >= MIN_CHECKSUM_SPEEDUP_X
+
     REPORT_PATH.write_text(json.dumps({
         "benchmark": "bench_wal_store",
         "machine": machine_info(),
-        "timed_region": "document transitions per engine + compaction",
+        "timed_region": "document transitions per engine + compaction + checksum throughput",
         "preloaded_documents": PRELOAD_DOCS,
         "transitions": TRANSITIONS,
         "memory_ms_per_transition": memory_ms,
@@ -134,4 +184,5 @@ def test_wal_transition_collapse_and_compaction(tmp_path):
         "snapshot_ms_per_transition": snapshot_ms,
         "snapshot_over_wal_collapse_x": collapse_x,
         "compaction": compaction_rows,
+        "checksum": checksum_rows,
     }, indent=2) + "\n")

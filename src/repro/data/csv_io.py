@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from datetime import datetime
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -61,6 +62,10 @@ def read_data_csv(source: io.TextIOBase | str | Path) -> list[DataRow]:
             )
         rows: list[DataRow] = []
         errors: list[str] = []
+        # Every sensor repeats the same timestamps, so parse each distinct
+        # text once.  Only successes are kept: a bad timestamp re-raises on
+        # every line that carries it.
+        times: dict[str, datetime] = {}
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
@@ -69,9 +74,10 @@ def read_data_csv(source: io.TextIOBase | str | Path) -> list[DataRow]:
                 continue
             sensor_id, attribute, time_text, value_text = record
             try:
-                rows.append(
-                    DataRow(sensor_id, attribute, parse_time(time_text), parse_value(value_text))
-                )
+                when = times.get(time_text)
+                if when is None:
+                    when = times[time_text] = parse_time(time_text)
+                rows.append(DataRow(sensor_id, attribute, when, parse_value(value_text)))
             except ValueError as exc:
                 errors.append(f"data.csv line {lineno}: {exc}")
         if errors:

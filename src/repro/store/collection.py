@@ -426,11 +426,10 @@ class Collection:
             )
             if is_plain and key in self._hash_indexes:
                 index = self._hash_indexes[key]
-                # Documents missing the field are not in the index and can
-                # only equality-match None; scan those separately.
-                ids = index.lookup(condition)
-                uncovered = [d for d in self._documents if not index.covers(d)]
-                return list(ids) + uncovered
+                # Documents whose field is missing, None or unhashable are
+                # in no bucket but may still match (None, list membership);
+                # the index tracks them, and the predicate re-checks all.
+                return sorted(index.lookup(condition) | index.uncovered())
             if isinstance(condition, Mapping) and key in self._sorted_indexes:
                 ops = set(condition)
                 if ops & {"$gt", "$gte", "$lt", "$lte"} and not ops - {

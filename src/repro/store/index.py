@@ -9,8 +9,8 @@ Two index kinds, mirroring what the system actually queries:
 
 Indexes observe inserts/removes through the collection; they never own the
 documents.  Values that are missing or unorderable simply stay out of the
-index — queries fall back to a scan for those documents (the collection
-handles that).
+index; a :class:`HashIndex` keeps those documents' ids, so an equality
+query re-checks just them instead of scanning the collection.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ class HashIndex:
         self.path = path
         self._buckets: dict[Any, set[int]] = {}
         self._indexed: dict[int, Any] = {}
+        self._uncovered: set[int] = set()
 
     def _key_for(self, document: Mapping[str, Any]) -> Any:
         value = get_path(document, self.path)
@@ -47,11 +48,13 @@ class HashIndex:
     def insert(self, doc_id: int, document: Mapping[str, Any]) -> None:
         key = self._key_for(document)
         if key is _MISSING:
+            self._uncovered.add(doc_id)
             return
         self._buckets.setdefault(key, set()).add(doc_id)
         self._indexed[doc_id] = key
 
     def remove(self, doc_id: int) -> None:
+        self._uncovered.discard(doc_id)
         key = self._indexed.pop(doc_id, _MISSING)
         if key is _MISSING:
             return
@@ -69,9 +72,10 @@ class HashIndex:
             return set()
         return set(self._buckets.get(value, ()))
 
-    def covers(self, doc_id: int) -> bool:
-        """Whether the document's field was indexable at insert time."""
-        return doc_id in self._indexed
+    def uncovered(self) -> set[int]:
+        """Ids of documents whose field was missing, ``None`` or
+        unhashable at insert time (they are in no bucket)."""
+        return set(self._uncovered)
 
     def __len__(self) -> int:
         return len(self._indexed)

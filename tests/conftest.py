@@ -12,9 +12,27 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.parameters import MiningParameters
 from repro.core.types import Sensor, SensorDataset
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    """Build hypothesis' Unicode character map before any test runs.
+
+    A checkout without a ``.hypothesis/`` directory builds it (2-8 s) on
+    the first ``st.text()`` draw, and the test making that draw then fails
+    the ``too_slow`` health check although its own inputs are cheap.
+    """
+
+    @given(st.text(max_size=1))
+    @settings(max_examples=1, database=None, suppress_health_check=list(HealthCheck))
+    def build_character_map(_text: str) -> None:
+        pass
+
+    build_character_map()
 
 
 def make_timeline(n: int, start: datetime | None = None, hours: int = 1) -> list[datetime]:

@@ -19,7 +19,7 @@ from repro.data.csv_io import (
     read_location_csv,
     write_dataset_dir,
 )
-from repro.data.schema import DataRow, LocationRow
+from repro.data.schema import TIME_FORMAT, DataRow, LocationRow
 from repro.data.validation import DatasetValidationError
 
 DATA_CSV = """id,attribute,time,data
@@ -72,6 +72,38 @@ class TestReadDataCsv:
         with pytest.raises(DatasetValidationError) as exc:
             read_data_csv(io.StringIO(bad))
         assert len(exc.value.errors) == 2
+
+    def test_repeated_timestamps_equal_per_cell_strptime(self):
+        lines = ["id,attribute,time,data"]
+        for sensor in range(5):
+            for hour in range(24):
+                lines.append(f"{sensor:05d},a,2016-03-01 {hour:02d}:00:00,{sensor + hour}")
+        rows = read_data_csv(io.StringIO("\n".join(lines) + "\n"))
+        expected = [
+            DataRow(
+                sensor_id,
+                attribute,
+                datetime.strptime(when, TIME_FORMAT),
+                float(value),
+            )
+            for sensor_id, attribute, when, value in (
+                line.split(",") for line in lines[1:]
+            )
+        ]
+        assert rows == expected
+
+    def test_repeated_bad_timestamp_reports_every_line(self):
+        bad = (
+            "id,attribute,time,data\n"
+            "x,t,2016-03-01 99:00:00,1.0\n"
+            "x,t,2016-03-01 00:00:00,2.0\n"
+            "y,t,2016-03-01 99:00:00,3.0\n"
+        )
+        with pytest.raises(DatasetValidationError) as exc:
+            read_data_csv(io.StringIO(bad))
+        assert len(exc.value.errors) == 2
+        assert exc.value.errors[0].startswith("data.csv line 2:")
+        assert exc.value.errors[1] == exc.value.errors[0].replace("line 2", "line 4")
 
 
 class TestReadLocationCsv:

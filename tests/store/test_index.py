@@ -22,24 +22,37 @@ class TestHashIndex:
         idx.insert(1, {"city": "london"})
         idx.remove(1)
         assert idx.lookup("london") == set()
-        assert not idx.covers(1)
+        assert len(idx) == 0
         idx.remove(1)  # idempotent
 
     def test_missing_field_not_indexed(self):
         idx = HashIndex("city")
         idx.insert(1, {"name": "x"})
-        assert not idx.covers(1)
+        assert idx.uncovered() == {1}
 
     def test_none_not_indexed(self):
         idx = HashIndex("city")
         idx.insert(1, {"city": None})
-        assert not idx.covers(1)
+        assert idx.uncovered() == {1}
 
     def test_unhashable_not_indexed(self):
         idx = HashIndex("tags")
         idx.insert(1, {"tags": ["a", "b"]})
-        assert not idx.covers(1)
+        assert idx.uncovered() == {1}
         assert idx.lookup(["a", "b"]) == set()
+
+    def test_uncovered_tracks_unindexable_documents(self):
+        idx = HashIndex("tags")
+        idx.insert(1, {"tags": ["a"]})
+        idx.insert(2, {"tags": None})
+        idx.insert(3, {})
+        idx.insert(4, {"tags": "a"})
+        assert idx.uncovered() == {1, 2, 3}
+        idx.remove(2)
+        idx.remove(4)
+        assert idx.uncovered() == {1, 3}
+        idx.uncovered().clear()  # a copy: callers cannot corrupt the index
+        assert idx.uncovered() == {1, 3}
 
     def test_dotted_path(self):
         idx = HashIndex("a.b")

@@ -2,7 +2,9 @@
 
 Invariants:
 
-* an indexed query returns exactly what a full scan returns;
+* an indexed query returns exactly what a full scan returns, also through
+  replaces and deletes and when the indexed field is missing, ``None`` or
+  a list;
 * dump/load is the identity on find() results;
 * range queries through the sorted index equal the predicate filter;
 * ``update_if`` is a true compare-and-set: under any interleaving of
@@ -10,7 +12,7 @@ Invariants:
   won exactly once, by the first attempt that reaches it;
 * WAL torn-tail recovery is *exact*: a log cut or bit-flipped at any byte
   offset replays to precisely the prefix of intact records — never one
-  record short, never a corrupt record adopted;
+  record short, never a corrupt record adopted — on both checksum paths;
 * frozen documents round-trip: after insert, update, WAL reopen and
   snapshot migration a stored document equals its plain source, and its
   ``json.dumps`` and ``copy.deepcopy`` match the source's.
@@ -57,6 +59,50 @@ def test_hash_index_equals_scan(docs, probe):
     plain.insert_many(docs)
     indexed.insert_many(docs)
     assert plain.find({"group": probe}) == indexed.find({"group": probe})
+
+
+#: The indexed field is sometimes missing (``_ABSENT``), ``None`` or a list:
+#: those documents are in no hash bucket, yet equality can still match them.
+_ABSENT = object()
+group_values = st.one_of(
+    st.sampled_from(["a", "b", "c", _ABSENT]),
+    st.none(),
+    st.lists(st.sampled_from(["a", "b", "c"]), max_size=2),
+)
+group_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), group_values),
+        st.tuples(st.just("replace"), st.integers(1, 12), group_values),
+        st.tuples(st.just("delete"), st.integers(1, 12)),
+    ),
+    max_size=20,
+)
+
+
+def _group_document(value, group):
+    return {"value": value} if group is _ABSENT else {"value": value, "group": group}
+
+
+@given(group_operations)
+@settings(max_examples=60, deadline=None)
+def test_hash_index_equals_scan_through_updates_and_deletes(operations):
+    plain = Collection("plain")
+    indexed = Collection("indexed")
+    indexed.create_index("group", "hash")
+    probes = ["a", "b", "c", None, ["a", "b"]]
+    for step, operation in enumerate(operations):
+        for collection in (plain, indexed):
+            if operation[0] == "insert":
+                collection.insert_one(_group_document(step, operation[1]))
+            elif operation[0] == "replace":
+                collection.replace_one(
+                    {"_id": operation[1]}, _group_document(step, operation[2])
+                )
+            else:
+                collection.delete_many({"_id": operation[1]})
+        for probe in probes:
+            assert plain.find({"group": probe}) == indexed.find({"group": probe})
+            assert plain.count({"group": probe}) == indexed.count({"group": probe})
 
 
 @given(documents, st.integers(-60, 60), st.integers(-60, 60))
@@ -199,10 +245,22 @@ def _record_stream(records):
     return buffer, boundaries
 
 
-_TAIL_RECORDS = [
-    {"op": "put", "doc": {"_id": i, "value": "x" * (i % 7), "i": i}}
-    for i in range(6)
-]
+def _put_record(i, value):
+    return {"op": "put", "doc": {"_id": i, "value": value, "i": i}}
+
+
+def _put_record_of_payload_size(i, size):
+    """A put record whose JSON payload is exactly ``size`` bytes."""
+    overhead = len(json.dumps(_put_record(i, ""), separators=(",", ":")))
+    return _put_record(i, "z" * (size - overhead))
+
+
+#: Small records around one just above the checksum's byte-loop/striped
+#: cut-over, so a torn or flipped byte is caught on both checksum paths.
+_TAIL_RECORDS = [_put_record(i, "x" * (i % 7)) for i in range(6)]
+_TAIL_RECORDS.insert(
+    3, _put_record_of_payload_size(6, wal._STRIPED_MIN_BYTES + 13)
+)
 
 
 def test_truncation_at_every_byte_offset_recovers_exact_prefix():
